@@ -8,7 +8,7 @@ execution backends, and the scheduler service.  It records
   ``time.perf_counter`` (monotonic; never the wall clock, per lint
   REP002): ``solve → eptas.search → eptas.ip_solve``,
   ``sweep.cell → sweep.fetch / sweep.solve``,
-  ``service.request → service.batch → service.dispatch`` — and
+  ``service.batch → service.dispatch / service.persist`` — and
 * **counters / gauges / latency histograms** — kernel heap pushes,
   frontier queries, conflict-scan steps, signature-memo and resume
   cache hits, sharded steals/requeues/quarantines, admission queue

@@ -25,10 +25,13 @@ The engine owns what every backend must agree on:
   ``<out>.tmp`` file and moved over the canonical path with
   :func:`os.replace` (after an fsync) only when the sweep completes.
   The canonical file therefore never holds a partially-written result
-  set: a reader (the service cache, an analysis job) sees either the
-  previous complete sweep or the new one, never a torn intermediate.
-  A killed sweep leaves its staging file behind, and the next resume
-  adopts the records it holds — crash-resume semantics are unchanged.
+  set: a reader (an analysis job, a service starting on the file) sees
+  either the previous complete sweep or the new one, never a torn
+  intermediate.  A killed sweep leaves its staging file behind, and the
+  next resume adopts the records it holds — crash-resume semantics are
+  unchanged.  (The scheduler service does not finalize through here: it
+  calls ``run_plan`` without an output file and appends to its own
+  results file, see :mod:`repro.service.cache`.)
 * **Failure isolation** — a cell that raises (unknown algorithm, solver
   bug, crashed worker) yields a ``status="error"`` record; the sweep
   always runs to completion and the error is data, not a crash.

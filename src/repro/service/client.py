@@ -85,6 +85,9 @@ class ServiceClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
+            # Requests are small single writes; do not let Nagle's
+            # algorithm hold one back behind the server's delayed ACK.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._reader = self._sock.makefile("rb")
         return self
 

@@ -13,11 +13,12 @@ its pluggable :class:`~repro.runner.backends.ExecutionBackend`.
 Three properties fall out of reusing the engine instead of re-solving
 per request:
 
-* **Cache hits without a solve** — results persist in the engine's
-  canonical JSONL file; :class:`~repro.service.cache.ResultStore`
-  mirrors it in memory, so a repeat request is answered at admission
-  time (``result`` frame, ``"cached": true``) without touching the
-  queue or a solver.
+* **Cache hits without a solve** — :class:`~repro.service.cache.ResultStore`
+  holds every successful record in memory over an append-only JSONL
+  file, so a repeat request is answered at admission time (``result``
+  frame, ``"cached": true``) without touching the queue or a solver,
+  and each batch persists only its new records, so what a request
+  costs does not grow with the stored history.
 * **Batching** — solve requests pending at dispatch time become cells
   of one plan, paying plan/cache/backend setup once per batch instead
   of once per request; identical concurrent requests coalesce into a
@@ -32,14 +33,16 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.instance import Instance
 from repro.obs import get_tracer, percentiles
 from repro.runner import (
     InstanceRepository,
     RunRecord,
+    SweepResult,
     WorkPlan,
     cache_key,
     instance_content_hash,
@@ -126,10 +129,12 @@ class SchedulerService:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`address` after :meth:`start`).
     results_path:
-        The service's canonical JSONL result file — the same file a
-        batch ``repro sweep -o`` would write, reused across restarts
-        (``None``: a private file is not kept and cache hits only span
-        the process lifetime... a path is strongly recommended).
+        The service's JSONL result file — the record format a batch
+        ``repro sweep -o`` writes — loaded once at start, appended to
+        by every batch and reused across restarts (see
+        :class:`~repro.service.cache.ResultStore`).  ``None`` keeps
+        results in memory only, so cache hits span the process
+        lifetime; a path is strongly recommended.
     backend, workers, shards:
         Passed through to :func:`~repro.runner.engine.run_plan` for
         every dispatched batch.
@@ -174,21 +179,22 @@ class SchedulerService:
             "rejected": 0,
         }
         self._listener: Optional[socket.socket] = None
+        # The acceptor and the dispatcher.
         self._threads: List[threading.Thread] = []
-        self._clients: List[_ClientConn] = []
+        # Live connections and their handler threads; a handler removes
+        # its own entry when its connection ends.
+        self._clients: Dict[_ClientConn, threading.Thread] = {}
         self._clients_lock = threading.Lock()
         self._shutdown = threading.Event()
         self._started_at: Optional[float] = None
         self._client_seq = 0
         # Per-request latency samples (ms, admission -> final frame),
         # bounded; the `stats` request reports their percentiles.
-        self._latencies: List[float] = []
+        self._latencies: Deque[float] = deque(maxlen=4096)
         self._latency_lock = threading.Lock()
 
     def _note_latency(self, ms: float) -> None:
         with self._latency_lock:
-            if len(self._latencies) >= 4096:
-                del self._latencies[0]
             self._latencies.append(ms)
         get_tracer().latency("service.request_ms", ms)
 
@@ -248,18 +254,18 @@ class SchedulerService:
 
     def _join(self) -> None:
         self._initiate_shutdown()
-        # Dispatcher first: it drains the queue and still needs live
-        # client sockets to deliver the final result frames.
-        for thread in list(self._threads):
-            if thread.name == "repro-service-dispatch":
-                thread.join(timeout=10)
+        # Acceptor and dispatcher first: the dispatcher drains the queue
+        # and still needs live client sockets to deliver the final
+        # result frames.
+        for thread in self._threads:
+            thread.join(timeout=10)
         with self._clients_lock:
-            clients = list(self._clients)
+            clients = dict(self._clients)
         for client in clients:
             # Unblocks handler threads parked in their read loop.
             client.close()
-        for thread in list(self._threads):
-            thread.join(timeout=10)
+        for handler in clients.values():
+            handler.join(timeout=10)
 
     def __enter__(self) -> "SchedulerService":
         return self.start()
@@ -279,20 +285,23 @@ class SchedulerService:
                 # Listener closed by shutdown — the loop condition is
                 # about to observe the event and exit.
                 continue
+            # Frames are small and written one by one: without NODELAY,
+            # Nagle's algorithm holds each reply behind the client's
+            # delayed ACK of the previous frame (~40 ms per request).
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._client_seq += 1
             client = _ClientConn(
                 conn, f"client-{self._client_seq}", self.stats
             )
-            with self._clients_lock:
-                self._clients.append(client)
             handler = threading.Thread(
                 target=self._handle_client,
                 args=(client,),
                 name=f"repro-service-{client.client_id}",
                 daemon=True,
             )
+            with self._clients_lock:
+                self._clients[client] = handler
             handler.start()
-            self._threads.append(handler)
 
     def _handle_client(self, client: _ClientConn) -> None:
         reader = client.conn.makefile("rb")
@@ -324,6 +333,8 @@ class SchedulerService:
             except OSError:
                 pass  # socket already reset by the peer
             client.close()
+            with self._clients_lock:
+                self._clients.pop(client, None)
 
     def _handle_request(
         self, client: _ClientConn, frame: Dict[str, Any]
@@ -380,23 +391,33 @@ class SchedulerService:
             # The fast path the service exists for: an identical request
             # was already solved — answer from the store, no queue, no
             # solver.
-            self.stats["cache_hits"] += 1
-            get_tracer().count("service.cache_hits")
-            elapsed = _elapsed_ms(received)
-            self._note_latency(elapsed)
-            client.send(
-                {
-                    "type": "result",
-                    "id": request_id,
-                    "cached": True,
-                    "elapsed_ms": elapsed,
-                    "record": hit.to_dict(),
-                }
-            )
+            self._send_stored(client, request_id, hit, received)
             return
         ticket = _Ticket(client, frame)
         ticket.key = key
         self._admit(client, ticket)
+
+    def _send_stored(
+        self,
+        client: _ClientConn,
+        request_id: str,
+        record: RunRecord,
+        since: float,
+    ) -> None:
+        """Answer a solve request with a stored record (a cache hit)."""
+        self.stats["cache_hits"] += 1
+        get_tracer().count("service.cache_hits")
+        elapsed = _elapsed_ms(since)
+        self._note_latency(elapsed)
+        client.send(
+            {
+                "type": "result",
+                "id": request_id,
+                "cached": True,
+                "elapsed_ms": elapsed,
+                "record": record.to_dict(),
+            }
+        )
 
     def _admit(self, client: _ClientConn, ticket: _Ticket) -> None:
         try:
@@ -495,6 +516,15 @@ class SchedulerService:
                 self.stats["coalesced"] += 1
                 waiters[ticket.key].append(ticket)
                 continue
+            stored = self.store.peek(ticket.key)
+            if stored is not None:
+                # An earlier batch stored this key after the ticket was
+                # admitted (two clients raced on one instance): serve it,
+                # do not solve it again.
+                self._send_stored(
+                    ticket.client, ticket.request_id, stored, ticket.admitted_at
+                )
+                continue
             waiters[ticket.key] = [ticket]
             instance = Instance.from_dict(ticket.frame["instance"])
             content_hash = instance_content_hash(instance)
@@ -511,6 +541,8 @@ class SchedulerService:
                 ticket.frame["algorithm"],
                 ticket.frame.get("params") or {},
             )
+        if not waiters:
+            return
 
         def progress(record: RunRecord, done: int, total: int) -> None:
             for waiter in waiters.get(record.key, ()):
@@ -538,7 +570,6 @@ class SchedulerService:
             return
         self.stats["solved"] += result.executed
         self.stats["errors"] += result.errors
-        self.store.put_many(result.records)
         by_key = {record.key: record for record in result.records}
         for key, key_tickets in waiters.items():
             record = by_key.get(key)
@@ -585,7 +616,12 @@ class SchedulerService:
                 }
             )
             return
-        plan = WorkPlan.from_product(repo, frame["algorithms"])
+        cells = WorkPlan.from_product(repo, frame["algorithms"])
+        # Only the cells the store lacks are run; the rest are its hits.
+        plan = WorkPlan()
+        for spec in cells:
+            if spec.key not in self.store:
+                plan.add(repo.get(spec.instance_name), spec.algorithm, spec.params)
 
         def progress(record: RunRecord, done: int, total: int) -> None:
             ticket.client.send(
@@ -598,7 +634,7 @@ class SchedulerService:
                 }
             )
 
-        result = self._run(plan, repo, progress)
+        result = self._run(plan, repo, progress) if len(plan) else SweepResult()
         if result is None:
             ticket.client.send(
                 {
@@ -610,7 +646,6 @@ class SchedulerService:
             return
         self.stats["solved"] += result.executed
         self.stats["errors"] += result.errors
-        self.store.put_many(result.records)
         elapsed = _elapsed_ms(ticket.admitted_at)
         self._note_latency(elapsed)
         ticket.client.send(
@@ -618,28 +653,33 @@ class SchedulerService:
                 "type": "sweep_result",
                 "id": ticket.request_id,
                 "executed": result.executed,
-                "cache_hits": result.cache_hits,
+                "cache_hits": len(cells) - len(plan),
                 "errors": result.errors,
-                "cells": len(result.records),
+                "cells": len(cells),
                 "elapsed_ms": elapsed,
             }
         )
 
-    def _run(self, plan: WorkPlan, repo, progress):
-        """One engine dispatch; a backend blow-up must not kill the
+    def _run(self, plan: WorkPlan, repo, progress) -> Optional[SweepResult]:
+        """Run the cells the store lacks, then append their successful
+        records to it — one write and one fsync, before the caller sends
+        any result frame.  A backend or disk failure must not kill the
         dispatcher thread (the service would wedge with a live queue)."""
         try:
-            with get_tracer().span("service.dispatch", cells=len(plan)):
-                return run_plan(
+            tracer = get_tracer()
+            with tracer.span("service.dispatch", cells=len(plan)):
+                result = run_plan(
                     plan,
-                    self.results_path,
+                    None,
                     backend=self.backend,
                     workers=self.workers,
                     shards=self.shards,
                     repository=repo,
-                    resume=True,
                     progress=progress,
                 )
+            with tracer.span("service.persist", records=len(result.records)):
+                self.store.append(result.records)
+            return result
         except Exception as exc:
             # Converted, not swallowed: counted in the stats and reported
             # to every waiter as an error frame by the caller.

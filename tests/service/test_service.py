@@ -6,14 +6,19 @@ the service's serial dispatch — which is how the cache-hit accounting
 tests can assert *zero solver calls* with a counting shim.
 """
 
+import os
+import socket
 import threading
+import time
 
 import pytest
 
 from repro import Instance, solve
 from repro.algorithms import registry
+from repro.obs import trace_scope
 from repro.runner import (
     InstanceRepository,
+    RunRecord,
     WorkPlan,
     canonical_stream,
     read_records,
@@ -47,6 +52,21 @@ def fake_algorithm():
 def service(tmp_path):
     svc = SchedulerService(
         results_path=tmp_path / "service.jsonl", batch_window_s=0.0
+    )
+    svc.start()
+    yield svc
+    svc.stop()
+
+
+@pytest.fixture
+def serial_service(tmp_path):
+    """A service pinned to the in-process serial backend, for tests whose
+    solver shims must run in this process whatever backend the
+    environment selects."""
+    svc = SchedulerService(
+        results_path=tmp_path / "service.jsonl",
+        backend="serial",
+        batch_window_s=0.0,
     )
     svc.start()
     yield svc
@@ -141,6 +161,47 @@ class TestCacheHitAccounting:
                 outcome = cli.solve(inst, "_counted3")
         assert outcome.cached
         assert counter["calls"] == 1
+
+    def test_key_stored_after_admission_is_served_at_dispatch(
+        self, serial_service, fake_algorithm
+    ):
+        """Two clients race on one instance across batches: the second
+        request misses at admission (the first is still solving) and is
+        answered from the store at dispatch, not solved again."""
+        counter = {"calls": 0}
+        started, release = threading.Event(), threading.Event()
+
+        def gated(instance, **kwargs):
+            counter["calls"] += 1
+            started.set()
+            release.wait(timeout=30)
+            return solve(instance, algorithm="merge_lpt")
+
+        fake_algorithm("_gated", gated)
+        inst = generate("uniform", 3, 8, 9)
+        service = serial_service
+        host, port = service.address
+        try:
+            with trace_scope() as tracer, ServiceClient(
+                host, port
+            ) as first, ServiceClient(host, port) as second:
+                ra = first.submit_solve(inst, "_gated")
+                assert started.wait(timeout=30)
+                rb = second.submit_solve(inst, "_gated")
+                assert second.await_admission(rb)["type"] == "accepted"
+                release.set()
+                a, b = first.collect(ra), second.collect(rb)
+        finally:
+            release.set()
+        assert not a.cached and b.cached
+        assert counter["calls"] == 1
+        assert b.record.canonical_dict() == a.record.canonical_dict()
+        assert service.stats["cache_hits"] == 1
+        assert service.stats["solved"] == 1
+        # The dispatch-time check leaves the admission counters alone.
+        assert tracer.counters["service.result_store_misses"] == 2
+        assert "service.result_store_hits" not in tracer.counters
+        assert tracer.counters["service.cache_hits"] == 1
 
 
 class TestBatchingAndBackpressure:
@@ -454,6 +515,107 @@ class TestTelemetry:
         latency = metrics["latency_ms"]
         assert latency["count"] >= 2
         assert latency["max"] >= latency["p50"] >= 0.0
+
+
+def _write_history(path, count):
+    """``count`` stored records with distinct keys, as a results file."""
+    template = solve(generate("uniform", 2, 2, 0), algorithm="merge_lpt")
+    lines = []
+    for index in range(count):
+        record = RunRecord(
+            instance=f"hist-{index}",
+            instance_hash=f"{index:016x}",
+            algorithm="merge_lpt",
+            params={},
+            status="ok",
+            n=4,
+            m=2,
+            num_classes=2,
+            wall_time=0.0,
+            makespan=template.makespan,
+            lower_bound=template.makespan,
+            valid=True,
+        )
+        lines.append(record.to_json() + "\n")
+    path.write_text("".join(lines))
+
+
+class TestConstantCostPerRequest:
+    """A request costs the same after 2,000 stored results as on the
+    first: counted, not timed, so the gate is deterministic."""
+
+    def _one_new_solve(self, tmp_path, monkeypatch, stored):
+        path = tmp_path / f"history-{stored}.jsonl"
+        _write_history(path, stored)
+        svc = SchedulerService(
+            results_path=path, backend="serial", batch_window_s=0.0
+        )
+        assert len(svc.store) == stored
+        svc.start()
+        counts = {"parses": 0, "fsyncs": 0}
+        from_dict, fsync = RunRecord.from_dict, os.fsync
+
+        def counting_from_dict(data):
+            counts["parses"] += 1
+            return from_dict(data)
+
+        def counting_fsync(fd):
+            counts["fsyncs"] += 1
+            return fsync(fd)
+
+        try:
+            with ServiceClient(*svc.address) as cli:
+                cli.status()
+                lines = path.read_bytes().count(b"\n")
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        RunRecord, "from_dict", staticmethod(counting_from_dict)
+                    )
+                    patch.setattr(os, "fsync", counting_fsync)
+                    outcome = cli.solve(generate("uniform", 3, 8, 11), "merge_lpt")
+                assert outcome.record.ok and not outcome.cached
+                counts["lines"] = path.read_bytes().count(b"\n") - lines
+        finally:
+            svc.stop()
+        return counts
+
+    def test_new_solve_work_does_not_grow_with_history(
+        self, tmp_path, monkeypatch
+    ):
+        empty = self._one_new_solve(tmp_path, monkeypatch, 0)
+        full = self._one_new_solve(tmp_path, monkeypatch, 2000)
+        assert empty == full
+        assert full["lines"] == 1  # appended, not rewritten
+        assert full["fsyncs"] == 1
+        # The new record's own parses (engine, progress, client): none of
+        # the 2,000 stored records is read at dispatch.
+        assert full["parses"] <= 3
+
+    def test_sockets_disable_nagle(self, service, client):
+        client.status()
+        with service._clients_lock:
+            accepted = [conn.conn for conn in service._clients]
+        assert accepted
+        for sock in accepted + [client._sock]:
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestConnectionBookkeeping:
+    def test_closed_connections_leave_no_trace(self, service, client):
+        """Handlers drop their connection and thread when the client
+        goes away, so the bookkeeping tracks live connections only."""
+        host, port = service.address
+        client.status()
+        for _ in range(50):
+            with ServiceClient(host, port) as short:
+                short.status()
+        deadline = time.monotonic() + 30
+        while len(service._clients) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(service._clients) == 1  # the fixture's live client
+        assert all(thread.is_alive() for thread in service._clients.values())
+        assert len(service._threads) == 2  # acceptor and dispatcher
+        assert client.status()["requests"] == 52
 
 
 class TestShutdown:
