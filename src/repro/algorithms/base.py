@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Optional
 
-from repro.core.arraykernel import resolve_kernel
-from repro.core.dispatch import OBJECT_KERNEL, KernelSpec
 from repro.core.instance import Instance
 from repro.core.machine import MachinePool, build_schedule
 from repro.core.schedule import Schedule
@@ -17,9 +15,6 @@ __all__ = [
     "ScheduleResult",
     "trivial_class_per_machine",
     "empty_result",
-    "resolve_kernel",
-    "KernelSpec",
-    "OBJECT_KERNEL",
 ]
 
 

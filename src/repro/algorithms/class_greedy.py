@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from repro.algorithms.base import (
     ScheduleResult,
-    resolve_kernel,
     trivial_class_per_machine,
 )
 from repro.algorithms.registry import register
 from repro.core.bounds import basic_T
-from repro.core.dispatch import DispatchState
+from repro.core.dispatch import ClassSelectionHeap, DispatchState
 from repro.core.dispatch import earliest_free_start as earliest_class_free_start  # noqa: F401 - re-export
 from repro.core.instance import Instance
 from repro.core.machine import MachinePool, build_schedule
@@ -44,19 +43,16 @@ __all__ = ["schedule_class_greedy", "earliest_class_free_start"]
 
 
 @register("class_greedy")
-def schedule_class_greedy(
-    instance: Instance, *, kernel=None
-) -> ScheduleResult:
+def schedule_class_greedy(instance: Instance) -> ScheduleResult:
     """Run the greedy-insertion baseline."""
     fast = trivial_class_per_machine(instance, "class_greedy")
     if fast is not None:
         return fast
 
-    spec = resolve_kernel(kernel)
     T = basic_T(instance)
     pool = MachinePool(instance.num_machines)
-    state = DispatchState(pool, instance.classes, spec=spec)
-    selection = spec.selection_heap(instance)
+    state = DispatchState(pool, instance.classes)
+    selection = ClassSelectionHeap(instance)
     for job in selection:
         state.place(job)
 
@@ -68,7 +64,6 @@ def schedule_class_greedy(
         guarantee=None,
         stats={
             "T": T,
-            "kernel_impl": spec.name,
             "dispatch": {
                 **state.counters(),
                 "heap_pushes": selection.heap_pushes,

@@ -48,7 +48,6 @@ from typing import Dict, List
 
 from repro.algorithms.base import (
     ScheduleResult,
-    resolve_kernel,
     trivial_class_per_machine,
 )
 from repro.algorithms.registry import register
@@ -65,7 +64,7 @@ __all__ = ["schedule_five_thirds"]
 
 @register("five_thirds")
 def schedule_five_thirds(
-    instance: Instance, *, trace: bool = False, kernel=None
+    instance: Instance, *, trace: bool = False
 ) -> ScheduleResult:
     """Run `Algorithm_5/3` on ``instance``.
 
@@ -97,8 +96,7 @@ def schedule_five_thirds(
     # Step-1 machines take the lowest pool indices, so the kernel's
     # leftmost-open-light query below visits them before any fresh
     # machine — the pre-kernel cursor's "prepared order".
-    spec = resolve_kernel(kernel)
-    engine = BlockDispatchState(pool, classes, T, spec=spec)
+    engine = BlockDispatchState(pool, classes, T)
     for cid in sorted(cb_plus):
         machine = engine.take_fresh()
         engine.place_block(machine, cid, classes[cid], 0)
@@ -180,7 +178,6 @@ def schedule_five_thirds(
         "cb_plus": sorted(cb_plus),
         "steps": step_log,
         "kernel": engine.counters(),
-        "kernel_impl": spec.name,
     }
     if trace:
         stats["snapshots"] = snapshots

@@ -23,7 +23,6 @@ from typing import List
 
 from repro.algorithms.base import (
     ScheduleResult,
-    resolve_kernel,
     trivial_class_per_machine,
 )
 from repro.algorithms.registry import register
@@ -61,7 +60,7 @@ PRIORITY_RULES = {
 
 @register("list_lpt")
 def schedule_list(
-    instance: Instance, *, rule: str = "lpt", kernel=None
+    instance: Instance, *, rule: str = "lpt"
 ) -> ScheduleResult:
     """List scheduling under the given priority ``rule``."""
     if rule not in PRIORITY_RULES:
@@ -73,11 +72,10 @@ def schedule_list(
     if fast is not None:
         return fast
 
-    spec = resolve_kernel(kernel)
     T = basic_T(instance)
     # Integral tick grid: busy intervals and machine frontiers are ints.
     pool = MachinePool(instance.num_machines)
-    state = DispatchState(pool, instance.classes, spec=spec)
+    state = DispatchState(pool, instance.classes)
     for job in PRIORITY_RULES[rule](instance):
         state.place(job)
 
@@ -89,7 +87,6 @@ def schedule_list(
         stats={
             "T": T,
             "rule": rule,
-            "kernel_impl": spec.name,
             "dispatch": state.counters(),
         },
     )

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from repro.algorithms.base import (
     ScheduleResult,
-    resolve_kernel,
     trivial_class_per_machine,
 )
 from repro.algorithms.registry import register
@@ -36,13 +35,12 @@ __all__ = ["schedule_merge_lpt"]
 
 
 @register("merge_lpt")
-def schedule_merge_lpt(instance: Instance, *, kernel=None) -> ScheduleResult:
+def schedule_merge_lpt(instance: Instance) -> ScheduleResult:
     """Merge classes into single jobs, then LPT."""
     fast = trivial_class_per_machine(instance, "merge_lpt")
     if fast is not None:
         return fast
 
-    spec = resolve_kernel(kernel)
     T = basic_T(instance)
     m = instance.num_machines
     pool = MachinePool(m)
@@ -54,7 +52,7 @@ def schedule_merge_lpt(instance: Instance, *, kernel=None) -> ScheduleResult:
     composites = sorted(
         instance.classes, key=lambda cid: (-class_sizes[cid], cid)
     )
-    state = DispatchState(pool, (), spec=spec)
+    state = DispatchState(pool, ())
     for cid in composites:
         state.place_block(list(instance.classes[cid]))
 
@@ -65,9 +63,5 @@ def schedule_merge_lpt(instance: Instance, *, kernel=None) -> ScheduleResult:
         algorithm="merge_lpt",
         # repro: allow[REP001] result-metadata stamp (m-dependent guarantee), not placement arithmetic
         guarantee=Fraction(2 * m - 1, m),
-        stats={
-            "T": T,
-            "merged_jobs": len(composites),
-            "kernel_impl": spec.name,
-        },
+        stats={"T": T, "merged_jobs": len(composites)},
     )

@@ -40,7 +40,6 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.algorithms.base import (
     ScheduleResult,
     empty_result,
-    resolve_kernel,
     trivial_class_per_machine,
 )
 from repro.algorithms.registry import register
@@ -449,7 +448,7 @@ class NoHugeEngine:
 
 @register("no_huge")
 def schedule_no_huge(
-    instance: Instance, *, trace: bool = False, kernel=None
+    instance: Instance, *, trace: bool = False
 ) -> ScheduleResult:
     """Standalone `Algorithm_no_huge` (Lemma 12).
 
@@ -474,14 +473,7 @@ def schedule_no_huge(
         cid: blocks_of_jobs(members)
         for cid, members in instance.classes.items()
     }
-    spec = resolve_kernel(kernel)
-    engine = NoHugeEngine(
-        block_classes,
-        pool.machines,
-        T,
-        trace=trace,
-        reservations=spec.reservations(),
-    )
+    engine = NoHugeEngine(block_classes, pool.machines, T, trace=trace)
     engine.run()
     engine.reservations.flush()
     schedule = build_schedule(pool)
@@ -489,7 +481,6 @@ def schedule_no_huge(
         "T": T,
         "steps": engine.step_log,
         "kernel": engine.counters(),
-        "kernel_impl": spec.name,
     }
     if trace:
         stats["snapshots"] = engine.snapshots

@@ -67,7 +67,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.base import (
     ScheduleResult,
-    resolve_kernel,
     trivial_class_per_machine,
 )
 from repro.algorithms.no_huge import NoHugeEngine
@@ -75,7 +74,12 @@ from repro.algorithms.registry import register
 from repro.core.blocks import Block, flatten
 from repro.core.bounds import lemma9_T
 from repro.core.classify import ClassPartition, classify_classes
-from repro.core.dispatch import place_reserved, place_reserved_ending
+from repro.core.dispatch import (
+    ClassReservations,
+    MachineFrontier,
+    place_reserved,
+    place_reserved_ending,
+)
 from repro.core.errors import CapacityError
 from repro.core.instance import Instance, Job
 from repro.core.machine import (
@@ -207,12 +211,9 @@ class _ClassQueue:
 class _ThreeHalves:
     """One run of `Algorithm_3/2` (mutable state, dispatch-kernel core)."""
 
-    def __init__(
-        self, instance: Instance, *, trace: bool = False, kernel=None
-    ) -> None:
+    def __init__(self, instance: Instance, *, trace: bool = False) -> None:
         self.instance = instance
         self.trace = trace
-        self._spec = resolve_kernel(kernel)
         self.T = lemma9_T(instance)
         # repro: allow[REP001] once-per-solve D = 3T/2 derivation at engine construction
         self.D = Fraction(3 * self.T, 2)
@@ -224,13 +225,13 @@ class _ThreeHalves:
         self.partition = classify_classes(instance, self.T)
         self.glued = _glue(instance, self.partition, self.T)
         self.pool = MachinePool(instance.num_machines, self.scale)
-        self.reservations = self._spec.reservations(instance.classes)
+        self.reservations = ClassReservations(instance.classes)
         self.placements = 0
         #: All M̄H machines in creation order — the leaf order of the
         #: subset frontier built in step 2; a closed machine's leaf is
         #: deactivated, so "the open M̄H machines" is the active set.
         self.mh: List[MachineState] = []
-        self.mh_frontier = self._spec.frontier(0)
+        self.mh_frontier = MachineFrontier(0)
         self.unscheduled: Set[int] = set(instance.classes)
         self.step_log: List[tuple] = []
         self.snapshots: List[Tuple[str, list]] = []
@@ -324,7 +325,7 @@ class _ThreeHalves:
         # The M̄H subset frontier: leaf i = i-th M̄H machine, keyed by its
         # completion tick (== load ticks: M̄H content is contiguous from 0
         # for as long as the machine can still receive placements).
-        self.mh_frontier = self._spec.frontier(
+        self.mh_frontier = MachineFrontier(
             len(self.mh), tops=[m.top_ticks for m in self.mh]
         )
         self._snapshot("step2")
@@ -623,7 +624,6 @@ class _ThreeHalves:
                 "C(1/2,3/4)": sorted(self.partition.mid),
                 "C<=1/2": sorted(self.partition.le_half),
             },
-            "kernel_impl": self._spec.name,
             "kernel": {
                 "placements": placements,
                 "mh_machines": len(self.mh),
@@ -649,7 +649,7 @@ class _ThreeHalves:
 
 @register("three_halves")
 def schedule_three_halves(
-    instance: Instance, *, trace: bool = False, kernel=None
+    instance: Instance, *, trace: bool = False
 ) -> ScheduleResult:
     """Run `Algorithm_3/2` on ``instance`` (Theorem 7).
 
@@ -662,4 +662,4 @@ def schedule_three_halves(
     fast = trivial_class_per_machine(instance, "three_halves")
     if fast is not None:
         return fast
-    return _ThreeHalves(instance, trace=trace, kernel=kernel).run()
+    return _ThreeHalves(instance, trace=trace).run()

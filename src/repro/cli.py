@@ -12,7 +12,6 @@ Usage (after ``pip install -e .``):
     python -m repro sweep --families uniform big_jobs -m 2 4 --seeds 0 1 \\
         -a three_halves five_thirds --workers 4 -o results.jsonl
     python -m repro sweep ... --backend sharded --shards 4   # work-stealing
-    python -m repro sweep ... --backend prefetch --remote-latency 0.02
     python -m repro bench -o BENCH_runtime_scaling.json \\
         --baseline BENCH_old.json   # machine-readable perf tracking
     python -m repro bench --suite runner   # backend throughput scaling
@@ -154,7 +153,6 @@ def _sweep_stats_line(result) -> str:
         "retries",
         "quarantined",
         "part_recovered",
-        "prefetch_hit_rate",
     ):
         if key in stats and stats[key] is not None:
             parts.append(f"{key}={stats[key]}")
@@ -174,12 +172,8 @@ def _print_failure_summary(result) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.tables import sweep_summary_table
-    from repro.runner import (
-        InstanceRepository,
-        RemoteInstanceRepository,
-        WorkPlan,
-        run_plan,
-    )
+    from repro.runner import InstanceRepository, WorkPlan, run_plan
+    from repro.runner.backends import resolve_backend_name
 
     if args.instances_dir:
         try:
@@ -191,12 +185,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         repo = InstanceRepository.from_families(
             args.families, args.machines, args.sizes, args.seeds
         )
-    if args.remote_latency > 0:
-        repo = RemoteInstanceRepository(repo, latency_s=args.remote_latency)
-    # Deferred payloads let the backend (prefetch pipeline, shard
-    # workers) overlap repository IO with solving; the pool/serial
-    # backends resolve them synchronously, matching the seed behavior.
-    defer = args.backend in ("prefetch", "sharded") or args.remote_latency > 0
+    backend = None if args.backend == "auto" else args.backend
+    # Deferred payloads let shard workers fetch their own instances,
+    # overlapping repository IO with solving; the serial backend
+    # resolves them in line.
+    defer = resolve_backend_name(backend, args.workers) == "sharded"
     plan = WorkPlan.from_product(repo, args.algorithms, defer_payloads=defer)
     print(
         f"sweep: {len(repo)} instance(s) × {len(args.algorithms)} "
@@ -216,12 +209,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         plan,
         args.out,
         workers=args.workers,
-        backend=None if args.backend == "auto" else args.backend,
+        backend=backend,
         shards=args.shards,
         repository=repo,
         retry_limit=args.retry_limit,
-        prefetch_window=args.prefetch_window,
-        prefetch_inner=args.prefetch_inner,
         resume=not args.no_resume,
         progress=progress,
     )
@@ -252,7 +243,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_approx_suite,
         run_baselines_suite,
         run_eptas_suite,
-        run_kernel_suite,
         run_obs_suite,
         run_runner_suite,
         run_runtime_scaling,
@@ -305,19 +295,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         runs.append(
             run_approx_suite(
                 repeats=args.repeats, seed=args.seed, **approx_overrides
-            )
-        )
-    if args.suite in ("kernel", "all"):
-        kernel_overrides = dict(overrides)
-        # The kernel grid derives machine counts from its per-algorithm
-        # families; -m configures the other suites only.
-        kernel_overrides.pop("machines", None)
-        if args.suite == "all":
-            kernel_overrides.pop("sizes", None)
-            kernel_overrides.pop("algorithms", None)
-        runs.append(
-            run_kernel_suite(
-                repeats=args.repeats, seed=args.seed, **kernel_overrides
             )
         )
     if args.suite in ("eptas", "all"):
@@ -400,20 +377,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         summary = ", ".join(
             f"{cell['backend']} {cell['cells_per_sec']:.1f} cells/s"
             + (
-                f" ({cell['speedup_vs_seed_pool']:.2f}x)"
-                if "speedup_vs_seed_pool" in cell
+                f" ({cell['speedup_vs_serial']:.2f}x)"
+                if "speedup_vs_serial" in cell
                 else ""
             )
             for cell in runner_cells
         )
-        print(f"sweep throughput vs seed pool path: {summary}")
-    kernel_speedups = data.get("largest_size_speedups_vs_object", {})
-    if kernel_speedups:
-        summary = ", ".join(
-            f"{name} {factor:.2f}x"
-            for name, factor in sorted(kernel_speedups.items())
-        )
-        print(f"array kernel vs object kernel: {summary}")
+        print(f"sweep throughput vs serial: {summary}")
     eptas_speedups = data.get("largest_size_speedups_vs_rebuild", {})
     if eptas_speedups:
         summary = ", ".join(
@@ -664,14 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool size (<=1 runs inline)",
+        help="parallel worker processes (<=1 runs inline)",
     )
     p_sweep.add_argument(
         "--backend",
-        choices=("auto", "serial", "pool", "sharded", "prefetch"),
+        choices=("auto", "serial", "sharded"),
         default="auto",
         help=(
-            "execution backend (auto: serial for --workers<=1, pool "
+            "execution backend (auto: serial for --workers<=1, sharded "
             "otherwise; REPRO_SWEEP_BACKEND overrides auto)"
         ),
     )
@@ -691,27 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "crash-retry budget per cell before the sharded backend "
             "quarantines it as an ERROR record"
-        ),
-    )
-    p_sweep.add_argument(
-        "--prefetch-window",
-        type=_positive_int,
-        default=4,
-        help="concurrent instance fetches for --backend prefetch",
-    )
-    p_sweep.add_argument(
-        "--prefetch-inner",
-        choices=("serial", "pool", "sharded"),
-        default="pool",
-        help="backend the prefetch pipeline wraps",
-    )
-    p_sweep.add_argument(
-        "--remote-latency",
-        type=float,
-        default=0.0,
-        help=(
-            "simulate a remote instance repository with this many "
-            "seconds of per-fetch latency (testing/benchmarking aid)"
         ),
     )
     p_sweep.add_argument(
@@ -758,23 +707,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--suite",
         choices=(
-            "default", "baselines", "approx", "kernel", "eptas", "obs",
-            "runner", "all",
+            "default", "baselines", "approx", "eptas", "obs", "runner",
+            "all",
         ),
         default="default",
         help=(
             "default: the seed runtime-scaling grid; baselines: the "
             "dispatch-kernel grid up to n=1e5 with quadratic-loop "
             "speedup cells; approx: the 5/3, 3/2 and no_huge stress "
-            "grids vs their preserved pre-kernel cores; kernel: the "
-            "object-vs-array dispatch-kernel grid (paired timing, "
-            "identical makespans asserted); eptas: the incremental "
-            "EPTAS vs the rebuild-per-guess reference (paired timing, "
-            "identical makespans asserted, per-phase span breakdown); "
-            "obs: the observability overhead smoke (null vs enabled "
-            "tracer, paired timing); runner: the execution-backend "
-            "throughput grid (cells/sec vs shard count on a simulated "
-            "remote repository); all: every suite"
+            "grids vs their preserved pre-kernel cores; eptas: the "
+            "incremental EPTAS vs the rebuild-per-guess reference "
+            "(paired timing, identical makespans asserted, per-phase "
+            "span breakdown); obs: the observability overhead smoke "
+            "(null vs enabled tracer, paired timing); runner: the "
+            "execution-backend throughput grid (serial vs sharded "
+            "cells/sec by shard count); all: every suite"
         ),
     )
     p_bench.add_argument(

@@ -58,12 +58,10 @@ import heapq
 from fractions import Fraction
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -88,8 +86,6 @@ __all__ = [
     "DispatchState",
     "ClassReservations",
     "BlockDispatchState",
-    "KernelSpec",
-    "OBJECT_KERNEL",
     "place_reserved",
     "place_reserved_ending",
 ]
@@ -576,26 +572,18 @@ class DispatchState:
     places each job exactly where the naive machine scan would.
     """
 
-    def __init__(
-        self,
-        pool: "MachinePool",
-        class_ids: Iterable[int],
-        spec: Optional["KernelSpec"] = None,
-    ) -> None:
-        if spec is None:
-            spec = OBJECT_KERNEL
-        self.kernel = spec
+    def __init__(self, pool: "MachinePool", class_ids: Iterable[int]) -> None:
         self.pool = pool
         self.den = pool.scale.denominator
         # Seed the frontier from the pool's actual tops, so wrapping a
         # pool that already carries placements stays in sync.  (The busy
         # index still starts empty: pre-existing placements of a tracked
         # class are the caller's responsibility.)
-        self.frontier = spec.frontier(
+        self.frontier = MachineFrontier(
             len(pool), tops=[m.top_ticks for m in pool.machines]
         )
         self.busy: Dict[int, ClassBusy] = {
-            cid: spec.class_busy() for cid in class_ids
+            cid: ClassBusy() for cid in class_ids
         }
         self.placements = 0
 
@@ -630,11 +618,7 @@ class DispatchState:
 
         Born as the step-count tests' counting shim, these are now also
         the kernel metrics the observability layer (:mod:`repro.obs`)
-        promotes into traces.  Both kernels count the same abstract
-        operations (the array frontier mirrors the object tree's
-        query/update accounting), so the object and array kernels
-        report bit-identical counters — asserted by the equivalence
-        suite.
+        promotes into traces.
         """
         return {
             "placements": self.placements,
@@ -677,10 +661,6 @@ class ClassReservations:
     5/3 / no-huge parity gap against the unvalidated references.
     """
 
-    #: Structure class for per-class busy runs; the array kernel
-    #: substitutes its flat-array implementation here.
-    busy_factory: Callable[[], ClassBusy] = ClassBusy
-
     __slots__ = ("busy", "count", "_pending", "_solo")
 
     def __init__(self, class_ids: Iterable[int] = ()) -> None:
@@ -709,7 +689,7 @@ class ClassReservations:
         self._flush_class(cid)
         index = self.busy.get(cid)
         if index is None:
-            index = self.busy[cid] = self.busy_factory()
+            index = self.busy[cid] = ClassBusy()
             solo = self._solo.pop(cid, None)
             if solo is not None:
                 index.seed_run(*solo)
@@ -736,7 +716,7 @@ class ClassReservations:
         if pending:
             index = self.busy.get(cid)
             if index is None:
-                index = self.busy[cid] = self.busy_factory()
+                index = self.busy[cid] = ClassBusy()
                 solo = self._solo.pop(cid, None)
                 if solo is not None:
                     index.seed_run(*solo)
@@ -829,24 +809,20 @@ class BlockDispatchState:
         class_ids: Iterable[int],
         T: Tick,
         reservations: Optional[ClassReservations] = None,
-        spec: Optional["KernelSpec"] = None,
     ) -> None:
-        if spec is None:
-            spec = OBJECT_KERNEL
-        self.kernel = spec
         self.pool = pool
         # repro: allow[REP001] once-per-engine grid derivation: T enters exact, ticks leave
         frac = Fraction(T)
         self._T_num = frac.numerator
         self._T_den = frac.denominator
-        self.frontier = spec.frontier(
+        self.frontier = MachineFrontier(
             len(pool),
             tops=[m.load * self._T_den for m in pool.machines],
         )
         self.reservations = (
             reservations
             if reservations is not None
-            else spec.reservations(class_ids)
+            else ClassReservations(class_ids)
         )
         self.placements = 0
         self._cursor_machine: Optional["MachineState"] = None
@@ -978,34 +954,3 @@ class BlockDispatchState:
             "frontier_updates": self.frontier.updates,
             **self.reservations.counters(),
         }
-
-
-class KernelSpec(NamedTuple):
-    """One selectable implementation family of the kernel structures.
-
-    Each field is a factory with the corresponding object structure's
-    constructor signature; the engines (:class:`DispatchState`,
-    :class:`BlockDispatchState`) and the algorithms instantiate their
-    structures exclusively through the spec they were handed, so a
-    whole solve runs on one family.  ``OBJECT_KERNEL`` (here) is the
-    default; the structure-of-arrays family lives in
-    :mod:`repro.core.arraykernel` and is selected per solve via the
-    ``kernel=`` parameter or the ``REPRO_KERNEL`` environment variable
-    (see :func:`repro.core.arraykernel.resolve_kernel`).
-    """
-
-    name: str
-    frontier: Callable[..., MachineFrontier]
-    class_busy: Callable[[], ClassBusy]
-    selection_heap: Callable[[Instance], ClassSelectionHeap]
-    reservations: Callable[..., ClassReservations]
-
-
-#: The reference object-structure kernel (PRs 3–5).
-OBJECT_KERNEL = KernelSpec(
-    name="object",
-    frontier=MachineFrontier,
-    class_busy=ClassBusy,
-    selection_heap=ClassSelectionHeap,
-    reservations=ClassReservations,
-)

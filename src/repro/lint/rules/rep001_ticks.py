@@ -57,9 +57,9 @@ class TickDisciplineRule(Rule):
     id = "REP001"
     title = "tick discipline: no Fraction on the kernel hot path"
     contract = (
-        "core/{dispatch,machine,schedule}.py, core/arraykernel/ and the "
-        "algorithm placement cores compute in integer ticks; Fraction "
-        "only at the API boundary"
+        "core/{dispatch,machine,schedule}.py and the algorithm "
+        "placement cores compute in integer ticks; Fraction only at "
+        "the API boundary"
     )
     hint = (
         "compute in integer ticks on the schedule's grid and convert at "
@@ -68,7 +68,6 @@ class TickDisciplineRule(Rule):
     )
     scope = (
         "core/dispatch.py",
-        "core/arraykernel/*.py",
         "core/machine.py",
         "core/schedule.py",
         "algorithms/class_greedy.py",

@@ -12,8 +12,8 @@ execution backends, and the scheduler service.  It records
 * **counters / gauges / latency histograms** — kernel heap pushes,
   frontier queries, conflict-scan steps, signature-memo and resume
   cache hits, sharded steals/requeues/quarantines, admission queue
-  depth and backpressure events, prefetch hit rate, per-request
-  service latency percentiles.
+  depth and backpressure events, per-request service latency
+  percentiles.
 
 The contract (enforced by lint REP002 and the CI ``obs`` job):
 

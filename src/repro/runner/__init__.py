@@ -4,8 +4,8 @@ The runner is the substrate for experiment sweeps: a
 :class:`~repro.runner.repository.InstanceRepository` names the
 instances, a :class:`~repro.runner.plan.WorkPlan` spans the cartesian
 product ``instances × algorithms × params``, and
-:func:`~repro.runner.engine.run_plan` executes the plan — optionally
-across a process pool — streaming one JSONL
+:func:`~repro.runner.engine.run_plan` executes the plan — in process,
+or across shard worker processes — streaming one JSONL
 :class:`~repro.runner.records.RunRecord` per cell and skipping cells a
 previous run already completed (content-addressed cache).
 
@@ -23,14 +23,13 @@ Quickstart::
 CLI equivalent: ``python -m repro sweep`` (see ``--help``).
 
 Execution is delegated to a pluggable backend
-(:mod:`repro.runner.backends`): ``serial``, ``pool`` (the default
-process-pool fan-out), ``sharded`` (work-stealing shard workers with
-crash requeue and part-file merging) and ``prefetch`` (async instance
-prefetch around any of the others) — select with
+(:mod:`repro.runner.backends`): ``serial`` (the in-process reference)
+or ``sharded`` (work-stealing shard workers with crash requeue and
+part-file merging, selected by ``workers > 1``) — or name one with
 ``run_plan(..., backend="sharded", shards=4)`` or
 ``python -m repro sweep --backend sharded --shards 4``.  The
 content-addressed resume cache is backend-independent: a sweep started
-on ``pool`` resumes on ``sharded``.
+on ``serial`` resumes on ``sharded``.
 
 :mod:`repro.runner.perf` tracks the repo's wall-clock trajectory:
 ``python -m repro bench`` writes a machine-readable
@@ -58,11 +57,7 @@ from repro.runner.plan import (
     instance_content_hash,
 )
 from repro.runner.records import RunRecord, canonical_stream, read_records
-from repro.runner.repository import (
-    InstanceRef,
-    InstanceRepository,
-    RemoteInstanceRepository,
-)
+from repro.runner.repository import InstanceRef, InstanceRepository
 
 __all__ = [
     "BackendConfig",
@@ -70,7 +65,6 @@ __all__ = [
     "ExecutionBackend",
     "InstanceRef",
     "InstanceRepository",
-    "RemoteInstanceRepository",
     "RunRecord",
     "RunSpec",
     "SweepResult",

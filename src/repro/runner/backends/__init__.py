@@ -1,16 +1,13 @@
 """Pluggable execution backends for the sweep runner.
 
-Four strategies behind one protocol (see :mod:`.base`):
+Two strategies behind one protocol (see :mod:`.base`):
 
-========== ==========================================================
-``serial``   in-process reference — plan order, fully debuggable
-``pool``     flat ``ProcessPoolExecutor`` fan-out (the seed path)
-``sharded``  content-hashed shard workers, work-stealing dispatch,
-             per-shard JSONL part files, crash requeue/quarantine,
-             deterministic key-ordered merge
-``prefetch`` async instance-prefetch pipeline wrapped around any of
-             the above (``BackendConfig.inner``)
-========== ==========================================================
+=========== =========================================================
+``serial``  in-process reference — plan order, fully debuggable
+``sharded`` content-hashed shard workers, work-stealing dispatch,
+            per-shard JSONL part files, crash requeue/quarantine,
+            deterministic key-ordered merge
+=========== =========================================================
 
 Selection happens in :func:`repro.runner.engine.run_plan` via
 :func:`~repro.runner.backends.base.resolve_backend_name`; the
@@ -29,8 +26,6 @@ from repro.runner.backends.base import (
     register_backend,
     resolve_backend_name,
 )
-from repro.runner.backends.pool import PoolBackend
-from repro.runner.backends.prefetch import PrefetchBackend
 from repro.runner.backends.serial import SerialBackend
 from repro.runner.backends.sharded import ShardedBackend, home_shard
 
@@ -38,8 +33,6 @@ __all__ = [
     "BACKENDS",
     "BackendConfig",
     "ExecutionBackend",
-    "PoolBackend",
-    "PrefetchBackend",
     "RecordSink",
     "SerialBackend",
     "ShardedBackend",

@@ -9,30 +9,28 @@ parallelism and fault handling* to the backend:
 
 ``run(pending, repository=…, sink=…, config=…)`` receives
 
-* ``pending`` — an iterable of cells to execute (cache misses only; may
-  be a *lazy* iterator, e.g. the prefetch pipeline's resolved-spec
-  stream), in plan order;
+* ``pending`` — an iterable of cells to execute (cache misses only),
+  in plan order;
 * ``repository`` — the instance source for deferred cells
   (``instance_payload is None``), or ``None`` when every payload is
   inline;
 * ``sink`` — live completion notifications (``sink.emit(spec,
   record_dict)`` as each cell finishes, in completion order); and
-* ``config`` — knobs (worker/shard counts, retry budget, part-file
-  directory) plus a shared ``stats`` dict the backend annotates
-  (steal counts, retries, prefetch hit rate, …).
+* ``config`` — knobs (shard count, retry budget, part-file directory)
+  plus a shared ``stats`` dict the backend annotates (steal counts,
+  retries, …).
 
 and *yields* ``(spec, record_dict)`` pairs in the backend's **emit
 order** — the order the engine appends records to the canonical JSONL
-file.  ``serial``/``pool`` emit in completion order (streaming, exactly
-the pre-subsystem behavior); ``sharded`` streams to per-shard part
-files for crash tolerance and emits the merged stream in cache-key
-order at the end, so its canonical output is deterministic regardless
-of steal order.
+file.  ``serial`` emits in plan order as each cell finishes;
+``sharded`` streams to per-shard part files for crash tolerance and
+emits the merged stream in cache-key order at the end, so its canonical
+output is deterministic regardless of steal order.
 
 Backends register themselves in :data:`BACKENDS` via
 :func:`register_backend`; :func:`resolve_backend_name` implements the
 engine's selection rule (explicit argument > ``REPRO_SWEEP_BACKEND``
-env var > ``pool`` when ``workers > 1`` else ``serial``).
+env var > ``sharded`` when ``workers > 1`` else ``serial``).
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ __all__ = [
     "RecordSink",
     "available_backends",
     "execute_cell",
-    "execute_cells",
     "get_backend",
     "register_backend",
     "resolve_backend_name",
@@ -93,27 +90,16 @@ class BackendConfig:
     ``stats`` is a plain dict the backend mutates in place; the engine
     surfaces it on :attr:`~repro.runner.engine.SweepResult.stats` so
     callers (CLI summary line, the ``--suite runner`` benchmark) can
-    read steal counts, retries, quarantines and prefetch hit rates
-    without a second API.
+    read steal counts, retries and quarantines without a second API.
     """
 
-    workers: int = 1
     shards: int = 2
     retry_limit: int = 2
-    prefetch_window: int = 4
-    inner: str = "pool"
     #: Directory for the sharded backend's per-shard part files (derived
     #: from the sweep's output path by the engine; a temp dir for
     #: in-memory sweeps).
     part_dir: Optional[Path] = None
-    #: Name stamped into each record's ``backend`` field; composite
-    #: backends (``prefetch+pool``) set this so provenance survives the
-    #: wrapping.
-    backend_label: Optional[str] = None
     stats: Dict[str, Any] = field(default_factory=dict)
-
-    def label(self, default: str) -> str:
-        return self.backend_label or default
 
 
 class RecordSink:
@@ -138,11 +124,6 @@ class ExecutionBackend:
     """Base class for execution backends (see module docstring)."""
 
     name: str = "?"
-    #: True when the backend resolves deferred payloads *inside* its
-    #: worker processes (already overlapping repository IO); the
-    #: prefetch wrapper passes cells through unresolved for such inners
-    #: instead of adding a parent-side serialization point.
-    fetches_in_workers: bool = False
 
     def run(
         self,
@@ -186,7 +167,7 @@ def resolve_backend_name(backend: Optional[str], workers: int) -> str:
     env = os.environ.get(BACKEND_ENV)
     if env:
         return env
-    return "pool" if workers > 1 else "serial"
+    return "sharded" if workers > 1 else "serial"
 
 
 def env_shards(default: int) -> int:
@@ -352,31 +333,6 @@ def execute_cell(
             schema=2,
         )
         return base
-
-
-def execute_cells(
-    payloads: Iterable[dict],
-    repository: Optional["InstanceRepository"] = None,
-) -> Iterator[dict]:
-    """Run a batch of cells under one shared kernel arena.
-
-    The batched worker entry: every cell in ``payloads`` executes inside
-    a single :func:`repro.core.arraykernel.arena_scope`, so array-kernel
-    solves (``params={"kernel": "array"}`` or ``REPRO_KERNEL=array``)
-    reuse one preallocated buffer pool across the whole batch instead of
-    reallocating their frontier trees per cell.  ``arena.reset()`` runs
-    between cells — buffers return to the pools, never carrying state
-    across cells — and object-kernel solves pass through untouched (they
-    never consult the arena).  Yields record dicts in input order,
-    streaming like :func:`execute_cell`; like it, never raises.
-    """
-    from repro.core.arraykernel import arena_scope
-
-    with arena_scope() as arena:
-        for payload in payloads:
-            record = execute_cell(payload, repository)
-            arena.reset()
-            yield record
 
 
 def worker_failure_record(

@@ -4,22 +4,18 @@ The debuggable reference implementation every other backend is measured
 against — no subprocesses, no queues, completion order == plan order ==
 emit order.  ``pdb`` works, tracebacks are local, and the canonical
 record stream it produces is the golden stream the cross-backend
-determinism tests compare ``pool``/``sharded`` output to.
-
-Cells run through the batched entry point
-(:func:`~repro.runner.backends.base.execute_cells`), so array-kernel
-sweeps share one kernel arena across the whole run.
+determinism tests compare ``sharded`` output to.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Tuple
 
+from repro.runner.backends import base
 from repro.runner.backends.base import (
     BackendConfig,
     ExecutionBackend,
     RecordSink,
-    execute_cells,
     register_backend,
     spec_payload,
 )
@@ -40,20 +36,15 @@ class SerialBackend(ExecutionBackend):
         sink: RecordSink,
         config: BackendConfig,
     ) -> Iterator[Tuple[RunSpec, dict]]:
-        label = config.label(self.name)
-        specs: list = []
-
-        def payloads() -> Iterator[dict]:
-            for spec in pending:
-                specs.append(spec)
-                yield spec_payload(spec, backend=label, repository=repository)
-
-        # execute_cells is lockstep (one payload in, one record out), so
-        # the spec queue never holds more than the cell being executed.
         # Cell-level spans come from execute_cell itself (the serial
         # backend runs in-process, so they land in the active trace
-        # directly — no sidecar needed).
-        for record in execute_cells(payloads(), repository):
-            spec = specs.pop(0)
+        # directly — no sidecar needed).  The call goes through the
+        # module attribute so a wrapper installed on
+        # ``base.execute_cell`` (a profiler's, say) sees every cell.
+        for spec in pending:
+            payload = spec_payload(
+                spec, backend=self.name, repository=repository
+            )
+            record = base.execute_cell(payload, repository)
             sink.emit(spec, record)
             yield spec, record

@@ -15,8 +15,11 @@ shard (e.g. one whose cells are all huge instances) is drained by idle
 shards instead of serializing the sweep.  Steals are counted in
 ``stats["steals"]``.
 
-Fault tolerance is per cell: a worker that dies mid-cell (OOM, SIGKILL,
-solver segfault) is detected by the coordinator, the in-flight cell is
+Fault tolerance is per cell.  Each worker talks to the coordinator over
+its own pipe, and the coordinator waits on every pipe and every process
+sentinel at once, so a dead worker can break only its own channel.  A
+worker that dies mid-cell (OOM, SIGKILL, solver segfault) shows up as
+EOF on its pipe or as an exited process; the in-flight cell is
 **requeued** with an incremented ``attempt`` up to ``retry_limit``, and
 a replacement worker is spawned.  A cell that keeps killing workers is
 **quarantined** as an ERROR record after the budget is exhausted — the
@@ -35,9 +38,8 @@ import hashlib
 import json
 import logging
 import multiprocessing
-import queue as queue_mod
-import time
 from collections import deque
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -72,17 +74,17 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _shard_worker(shard, generation, task_q, result_q, part_path, repository):
-    """Worker loop: pull payloads until the ``None`` sentinel.
+def _shard_worker(shard, conn, part_path, repository):
+    """Worker loop: receive payloads on ``conn`` until the ``None``
+    sentinel, answering each with ``(key, record)`` on the same pipe.
 
     Each finished record is appended (and flushed) to this shard's part
     file *before* the result message is sent, so a record is never lost
     between execution and acknowledgement.
 
-    The whole loop runs inside one kernel-arena scope (the batched
-    equivalent of :func:`~repro.runner.backends.base.execute_cells`):
-    array-kernel cells reuse the shard's buffer pools, with a reset
-    between cells so no solver state crosses cell boundaries.
+    The pipe is this worker's alone: a worker that dies at any point —
+    mid-solve, mid-send — can break only its own channel, which the
+    coordinator reads as EOF and handles like any other crash.
 
     When the (fork-inherited) tracer is enabled, the worker streams its
     spans to a per-shard **trace sidecar** next to the part file — same
@@ -90,76 +92,72 @@ def _shard_worker(shard, generation, task_q, result_q, part_path, repository):
     to its last completed span; the coordinator merges every sidecar
     into the parent trace after the deterministic record merge.
     """
-    from repro.core.arraykernel import arena_scope
-
     trace_path = sidecar_path(Path(part_path).parent, shard)
     try:
-        with open(part_path, "a") as part, arena_scope() as arena, \
+        with open(part_path, "a") as part, \
                 worker_trace_scope(trace_path, shard=shard):
-            result_q.put(("ready", shard, generation))
             while True:
-                payload = task_q.get()
+                payload = conn.recv()
                 if payload is None:
                     return
                 record = execute_cell(payload, repository)
-                arena.reset()
                 part.write(
                     json.dumps(record, sort_keys=True, default=str) + "\n"
                 )
                 part.flush()
-                result_q.put(
-                    ("done", shard, generation, payload["key"], record)
-                )
-    except (KeyboardInterrupt, EOFError) as exc:  # pragma: no cover
+                conn.send((payload["key"], record))
+    except (KeyboardInterrupt, EOFError, ConnectionError) as exc:
         # Deliberate kill / coordinator gone: nothing to requeue from in
-        # here (the coordinator's reap() handles the in-flight cell), but
-        # the exit is recorded rather than silently dropped (REP005).
+        # here (the coordinator handles the in-flight cell), but the
+        # exit is recorded rather than silently dropped (REP005).
         logger.debug("shard %d worker exiting on %r", shard, exc)
 
 
 class _Worker:
-    """Coordinator-side handle for one shard worker process."""
+    """Coordinator-side handle for one shard worker process and the
+    duplex pipe the two talk over."""
 
-    def __init__(self, ctx, shard: int, generation: int, result_q, part_path,
-                 repository):
+    def __init__(self, ctx, shard: int, part_path, repository):
         self.shard = shard
-        self.generation = generation
-        self.task_q = ctx.Queue()
+        self.conn, child_conn = ctx.Pipe()
         self.busy: Optional[Tuple[RunSpec, int]] = None
         self.parked = False
         self.process = ctx.Process(
             target=_shard_worker,
-            args=(shard, generation, self.task_q, result_q, part_path,
-                  repository),
+            args=(shard, child_conn, part_path, repository),
             daemon=True,
         )
         self.process.start()
+        # Only the worker may hold the child end: its exit then closes
+        # the pipe, and the coordinator reads EOF.
+        child_conn.close()
 
-    @property
-    def dead(self) -> bool:
-        return self.process.exitcode is not None
+    def send(self, payload: Optional[dict]) -> None:
+        try:
+            self.conn.send(payload)
+        except OSError as exc:
+            # The worker is gone (broken pipe).  Its EOF and sentinel
+            # wake the coordinator, which handles the in-flight cell.
+            logger.debug("shard %d: send failed: %r", self.shard, exc)
 
-    def shutdown(self) -> None:
-        if not self.dead:
-            try:
-                self.task_q.put(None)
-            except Exception as exc:  # pragma: no cover - queue already broken
-                # Sentinel enqueue on an already-broken IPC queue raises
-                # platform-dependent types mid-teardown; the join/terminate
-                # path below still reaps the process, so the failure is
-                # logged, not propagated (REP005: convert, don't drop).
-                logger.debug(
-                    "shard %d: shutdown sentinel failed: %r", self.shard, exc
-                )
+    def stop(self, terminate: bool) -> None:
+        if self.process.exitcode is None:
+            if terminate:
+                self.process.terminate()
+            else:
+                self.send(None)
+
+    def reap(self) -> None:
+        self.process.join(timeout=5)
+        if self.process.exitcode is None:  # pragma: no cover
+            self.process.terminate()
+            self.process.join(timeout=5)
+        self.conn.close()
 
 
 @register_backend
 class ShardedBackend(ExecutionBackend):
     name = "sharded"
-    # Deferred payloads are fetched by the shard workers themselves
-    # (spec_payload(..., resolve=False) at dispatch), so repository IO
-    # already overlaps across shards and with solving.
-    fetches_in_workers = True
 
     def run(
         self,
@@ -170,7 +168,6 @@ class ShardedBackend(ExecutionBackend):
         config: BackendConfig,
     ) -> Iterator[Tuple[RunSpec, dict]]:
         specs = list(pending)
-        label = config.label(self.name)
         stats = config.stats
         stats.setdefault("steals", 0)
         stats.setdefault("retries", 0)
@@ -221,21 +218,17 @@ class ShardedBackend(ExecutionBackend):
                 queues[home_shard(spec.key, shards)].append((spec, 0))
 
         ctx = _mp_context()
-        result_q = ctx.Queue()
         part_paths = [
             part_dir / f"shard-{shard:03d}.part.jsonl"
             for shard in range(shards)
         ]
-        generation = 0
         workers: Dict[int, _Worker] = {}
 
         def spawn(shard: int) -> None:
-            nonlocal generation
-            generation += 1
-            workers[shard] = _Worker(
-                ctx, shard, generation, result_q, part_paths[shard],
-                repository,
+            worker = workers[shard] = _Worker(
+                ctx, shard, part_paths[shard], repository
             )
+            dispatch(worker)
 
         def next_item(shard: int) -> Optional[Tuple[RunSpec, int]]:
             """Own queue first, else steal from the longest other queue."""
@@ -258,10 +251,10 @@ class ShardedBackend(ExecutionBackend):
             spec, attempt = item
             worker.busy = item
             worker.parked = False
-            worker.task_q.put(
+            worker.send(
                 spec_payload(
                     spec,
-                    backend=label,
+                    backend=self.name,
                     shard=worker.shard,
                     attempt=attempt,
                     repository=repository,
@@ -271,80 +264,81 @@ class ShardedBackend(ExecutionBackend):
                 )
             )
 
-        def unpark() -> None:
-            for worker in workers.values():
-                if worker.parked and not worker.dead:
-                    dispatch(worker)
-
         def complete(key: str, record: dict) -> None:
             if key in results:
                 return  # late duplicate after a requeue race
             results[key] = record
             sink.emit(by_key[key], record)
 
-        def reap() -> None:
-            """Detect dead workers: requeue/quarantine their in-flight
-            cell and spawn a replacement while work remains."""
-            for shard, worker in list(workers.items()):
-                if not worker.dead:
-                    continue
-                item, worker.busy = worker.busy, None
-                if item is not None:
-                    spec, attempt = item
-                    if spec.key in results:
-                        item = None  # result arrived before the crash did
-                    elif attempt >= config.retry_limit:
-                        stats["quarantined"] += 1
-                        complete(
-                            spec.key,
-                            worker_failure_record(
-                                spec,
-                                f"worker crashed (exit "
-                                f"{worker.process.exitcode}); cell "
-                                f"quarantined after {attempt + 1} attempts",
-                                backend=label,
-                                shard=shard,
-                                attempt=attempt,
-                            ).to_dict(),
-                        )
-                    else:
-                        stats["retries"] += 1
-                        queues[home_shard(spec.key, shards)].append(
-                            (spec, attempt + 1)
-                        )
-                if len(results) < len(specs):
-                    stats["respawns"] += 1
-                    spawn(shard)
+        def lost(worker: _Worker) -> None:
+            """A worker died: requeue or quarantine its in-flight cell,
+            and spawn a replacement while work remains."""
+            shard = worker.shard
+            worker.reap()
+            item, worker.busy = worker.busy, None
+            if item is not None and item[0].key not in results:
+                spec, attempt = item
+                if attempt >= config.retry_limit:
+                    stats["quarantined"] += 1
+                    complete(
+                        spec.key,
+                        worker_failure_record(
+                            spec,
+                            f"worker crashed (exit "
+                            f"{worker.process.exitcode}); cell "
+                            f"quarantined after {attempt + 1} attempts",
+                            backend=self.name,
+                            shard=shard,
+                            attempt=attempt,
+                        ).to_dict(),
+                    )
                 else:
-                    del workers[shard]
-            unpark()
+                    stats["retries"] += 1
+                    queues[home_shard(spec.key, shards)].append(
+                        (spec, attempt + 1)
+                    )
+            del workers[shard]
+            if len(results) < len(specs):
+                stats["respawns"] += 1
+                spawn(shard)
+            for other in workers.values():
+                if other.parked:
+                    dispatch(other)
+
+        def service(worker: _Worker) -> None:
+            """Take every result waiting on the worker's pipe, handing
+            it its next cell after each; a closed pipe or an exited
+            process is a crash."""
+            try:
+                while worker.conn.poll():
+                    key, record = worker.conn.recv()
+                    worker.busy = None
+                    cells_by_shard[worker.shard] += 1
+                    complete(key, record)
+                    if len(results) < len(specs):
+                        dispatch(worker)
+            except (EOFError, OSError) as exc:
+                logger.debug("shard %d pipe closed: %r", worker.shard, exc)
+                lost(worker)
+                return
+            if worker.process.exitcode is not None:
+                lost(worker)
 
         interrupted = False
         try:
             for shard in range(shards):
                 spawn(shard)
-            last_reap = time.monotonic()
             while len(results) < len(specs):
-                try:
-                    msg = result_q.get(timeout=0.05)
-                except queue_mod.Empty:
-                    reap()
-                    last_reap = time.monotonic()
-                    continue
-                worker = workers.get(msg[1])
-                if worker is None or worker.generation != msg[2]:
-                    continue  # stale message from a replaced worker
-                if msg[0] == "done":
-                    _, shard, _, key, record = msg
-                    worker.busy = None
-                    cells_by_shard[shard] += 1
-                    complete(key, record)
-                if len(results) >= len(specs):
-                    break
-                dispatch(worker)
-                if time.monotonic() - last_reap > 0.25:
-                    reap()
-                    last_reap = time.monotonic()
+                handles = [w.conn for w in workers.values()] + [
+                    w.process.sentinel for w in workers.values()
+                ]
+                ready = wait(handles)
+                for worker in list(workers.values()):
+                    if workers.get(worker.shard) is worker and (
+                        worker.conn in ready
+                        or worker.process.sentinel in ready
+                    ):
+                        service(worker)
         except KeyboardInterrupt:
             # Ctrl-C in the coordinator: terminate the workers promptly
             # (they may be mid-solve and would otherwise be orphaned or
@@ -356,28 +350,10 @@ class ShardedBackend(ExecutionBackend):
             stats["interrupted"] = True
             raise
         finally:
-            if interrupted:
-                for worker in workers.values():
-                    if not worker.dead:
-                        worker.process.terminate()
-            else:
-                for worker in workers.values():
-                    worker.shutdown()
-            # Drain leftover (duplicate) results so worker feeder threads
-            # can flush their pipes and the processes exit cleanly.
-            while True:
-                try:
-                    result_q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                except Exception as exc:  # pragma: no cover - broken queue
-                    logger.debug("result-queue drain stopped: %r", exc)
-                    break
             for worker in workers.values():
-                worker.process.join(timeout=5)
-                if worker.process.exitcode is None:  # pragma: no cover
-                    worker.process.terminate()
-                    worker.process.join(timeout=5)
+                worker.stop(terminate=interrupted)
+            for worker in workers.values():
+                worker.reap()
 
         # --- deterministic merge: the canonical record stream is ordered
         # by cache key, independent of steal/completion order.

@@ -2,13 +2,10 @@
 
 :func:`run_plan` executes every cell of a :class:`~repro.runner.plan.WorkPlan`
 through a pluggable **execution backend** (see
-:mod:`repro.runner.backends`): ``serial`` (in-process reference),
-``pool`` (flat :class:`~concurrent.futures.ProcessPoolExecutor`
-fan-out), ``sharded`` (work-stealing shard workers with per-shard part
-files and crash requeue), or ``prefetch`` (async instance-IO pipeline
-wrapped around any of the others).  Left unspecified, the backend is
-chosen the way the seed engine behaved: inline for ``workers <= 1``,
-process pool otherwise.
+:mod:`repro.runner.backends`): ``serial`` (in-process reference) or
+``sharded`` (work-stealing shard workers with per-shard part files and
+crash requeue).  Left unspecified, the backend follows the worker
+count: inline for ``workers <= 1``, ``workers`` shards otherwise.
 
 The engine owns what every backend must agree on:
 
@@ -18,9 +15,8 @@ The engine owns what every backend must agree on:
   so a sweep started on one backend resumes on any other; re-running a
   finished sweep is a 100% cache hit and touches no solver.
 * **The canonical record stream** — one JSONL record per cell, streamed
-  and flushed in the backend's emit order (completion order for
-  ``serial``/``pool``; deterministic cache-key order for ``sharded``'s
-  merged part files).
+  and flushed in the backend's emit order (plan order for ``serial``;
+  deterministic cache-key order for ``sharded``'s merged part files).
 * **Atomic finalization** — records are staged to a sibling
   ``<out>.tmp`` file and moved over the canonical path with
   :func:`os.replace` (after an fsync) only when the sweep completes.
@@ -90,7 +86,7 @@ class SweepResult:
     records included, so the caller never needs to re-read the JSONL.
     ``backend`` names the backend that executed the pending cells and
     ``stats`` carries its counters (steals, retries, quarantined cells,
-    prefetch hit rate, …).
+    …).
     """
 
     records: List[RunRecord] = field(default_factory=list)
@@ -160,8 +156,6 @@ def run_plan(
     shards: Optional[int] = None,
     repository=None,
     retry_limit: int = 2,
-    prefetch_window: int = 4,
-    prefetch_inner: str = "pool",
     resume: bool = True,
     retry_errors: bool = True,
     progress: Optional[Callable[[RunRecord, int, int], None]] = None,
@@ -180,14 +174,13 @@ def run_plan(
         killed sweep leaves the staging file for the next resume to
         adopt.  ``None`` keeps results in memory only.
     workers:
-        Worker count for the ``pool`` backend.  With ``backend`` unset,
-        ``<= 1`` selects ``serial`` and ``> 1`` selects ``pool`` —
-        exactly the seed engine's behavior.
+        Parallelism.  With ``backend`` unset, ``<= 1`` selects
+        ``serial`` and ``> 1`` selects ``sharded`` with ``workers``
+        shards.
     backend:
-        Execution backend name (``serial``/``pool``/``sharded``/
-        ``prefetch``), or ``None``/``"auto"`` to apply the
-        ``REPRO_SWEEP_BACKEND`` env override and then the workers-based
-        default.
+        Execution backend name (``serial``/``sharded``), or
+        ``None``/``"auto"`` to apply the ``REPRO_SWEEP_BACKEND`` env
+        override and then the workers-based default.
     shards:
         Shard count for the ``sharded`` backend (default: ``workers``
         when ``> 1``, else 2; ``REPRO_SWEEP_SHARDS`` overrides when the
@@ -199,9 +192,6 @@ def run_plan(
     retry_limit:
         How many times the sharded backend requeues a cell whose worker
         died before quarantining it as an ERROR record.
-    prefetch_window / prefetch_inner:
-        Prefetch pipeline depth and the backend it wraps (``prefetch``
-        backend only).
     retry_errors:
         Whether prior ``status="error"`` records are re-executed on
         resume (successful records are always reused).
@@ -281,11 +271,8 @@ def run_plan(
                 tmp_parts = tempfile.TemporaryDirectory(prefix="repro-sweep-")
                 part_dir = Path(tmp_parts.name)
             config = BackendConfig(
-                workers=workers,
                 shards=max(1, shards),
                 retry_limit=retry_limit,
-                prefetch_window=prefetch_window,
-                inner=prefetch_inner,
                 part_dir=part_dir,
             )
             engine = get_backend(backend_name)

@@ -24,14 +24,12 @@ the pre-kernel loop — and ``packed_small`` drives `Algorithm_no_huge`'s
 pairing steps), timing the preserved pre-kernel placement cores
 alongside and asserting identical makespans per cell.
 
-``run_kernel_suite`` races the two dispatch-kernel implementations —
-object structures vs the structure-of-arrays kernel
-(:mod:`repro.core.arraykernel`) — over the same instances with
-order-balanced paired timing, asserting identical makespans per cell;
 ``check_regressions`` turns any ``BENCH_*.json`` into a perf gate by
 comparing cell medians and the headline ``largest_size_speedups*`` maps
 against a baseline-of-record within a percent tolerance
-(``repro bench --fail-on-regression PCT``).
+(``repro bench --fail-on-regression PCT``).  Cells are matched by
+``(suite, algorithm, n_target)``, so two suites that time the same
+algorithm at the same size never compare against each other.
 
 ``run_eptas_suite`` races the incremental EPTAS driver (warm-started
 :class:`~repro.ptas.context.GuessContext`: signature-memoized window-IP
@@ -58,17 +56,15 @@ Makespans are asserted identical under both tracers, so telemetry can
 never change behavior.
 
 ``run_runner_suite`` benchmarks the *sweep engine itself* rather than a
-solver: one fixed work plan is executed through each execution backend
-(:mod:`repro.runner.backends`) against a simulated-latency
-:class:`~repro.runner.repository.RemoteInstanceRepository`, recording
-cells/sec per backend, throughput scaling with the shard count, steal
-counts and the prefetch hit rate.  Every cell carries
-``speedup_vs_seed_pool`` — the throughput factor over the seed engine's
-flat process-pool path, which resolves instance payloads synchronously
-and therefore serializes repository IO.
+solver: one fixed work plan over an in-memory repository is executed
+by the ``serial`` backend and by the ``sharded`` backend at each shard
+count (:mod:`repro.runner.backends`), recording cells/sec, steal counts
+and ``speedup_vs_serial`` — the throughput factor over the in-process
+reference.
 
 CLI: ``python -m repro bench --out BENCH_runtime_scaling.json
-[--baseline old.json] [--suite default|baselines|approx|runner|all]``.
+[--baseline old.json]
+[--suite default|baselines|approx|eptas|obs|runner|all]``.
 """
 
 from __future__ import annotations
@@ -98,16 +94,12 @@ __all__ = [
     "APPROX_SIZES",
     "APPROX_ALGORITHMS",
     "APPROX_FAMILIES",
-    "KERNEL_SIZES",
-    "KERNEL_ALGORITHMS",
-    "KERNEL_FAMILIES",
     "EPTAS_BENCH_CELLS",
     "RUNNER_SHARD_COUNTS",
     "OBS_SMOKE_SIZE",
     "run_runtime_scaling",
     "run_baselines_suite",
     "run_approx_suite",
-    "run_kernel_suite",
     "run_eptas_suite",
     "run_obs_suite",
     "run_runner_suite",
@@ -148,30 +140,6 @@ APPROX_FAMILIES = {
 #: alongside (reference ``three_halves`` needs ~5 s per solve there).
 APPROX_NAIVE_CUTOFF = 16_000
 
-#: The object-vs-array kernel grid (``--suite kernel``): every
-#: kernel-threaded algorithm solved with both kernels on the same
-#: instances, up to n_target = 10⁵.  The dispatch baselines run on the
-#: fixed-machine ``uniform`` grid; the approximation algorithms sweep
-#: their stress families with scaled machine counts, the shape where
-#: the structure-of-arrays layout has the most state to compact.
-KERNEL_SIZES = BASELINES_SIZES
-KERNEL_ALGORITHMS = (
-    "class_greedy",
-    "list_lpt",
-    "merge_lpt",
-    "five_thirds",
-    "three_halves",
-    "no_huge",
-)
-#: Algorithm → (family, machine-count rule); ``None`` means the fixed
-#: ``DEFAULT_MACHINES`` uniform grid.
-KERNEL_FAMILIES = {
-    "class_greedy": ("uniform", None),
-    "list_lpt": ("uniform", None),
-    "merge_lpt": ("uniform", None),
-    **APPROX_FAMILIES,
-}
-
 #: The EPTAS incremental-vs-rebuild grid (``--suite eptas``): small
 #: instances (the scheme is exponential in 1/(εδ); these are the largest
 #: cells on which the rebuild-per-guess reference stays tractable at
@@ -200,15 +168,13 @@ OBS_SMOKE_ALGORITHM = "three_halves"
 #: the sharded backend is swept over.
 RUNNER_SHARD_COUNTS = (1, 2, 4)
 #: Sweep-plan shape: ``RUNNER_INSTANCES`` uniform instances with
-#: ``RUNNER_SIZE`` classes each, one algorithm per cell.
-RUNNER_INSTANCES = 18
-RUNNER_SIZE = 100
+#: ``RUNNER_SIZE`` classes each, one algorithm per cell.  A cell
+#: (~12 ms on a 2-core VM) costs well above a shard worker's start-up,
+#: so the grid measures parallel execution rather than process creation.
+RUNNER_INSTANCES = 36
+RUNNER_SIZE = 400
 RUNNER_MACHINES = 4
 RUNNER_ALGORITHM = "three_halves"
-#: Simulated per-fetch latency of the remote instance repository —
-#: chosen so fetch cost is comparable to solve cost, the regime where
-#: backend IO scheduling (not the solver) decides sweep throughput.
-RUNNER_LATENCY_S = 0.03
 
 
 def _bench_instance(n_target: int, machines: int, seed: int):
@@ -519,122 +485,6 @@ def run_approx_suite(
     }
 
 
-def run_kernel_suite(
-    *,
-    sizes: Sequence[int] = KERNEL_SIZES,
-    algorithms: Sequence[str] = KERNEL_ALGORITHMS,
-    repeats: int = 3,
-    seed: int = 0,
-    validate: bool = True,
-) -> dict:
-    """The object-vs-array kernel grid (``--suite kernel``).
-
-    Every cell solves the same fresh instances with the object kernel
-    and the array kernel and records both medians plus
-    ``speedup_vs_object = object_median_s / median_s`` (> 1 means the
-    array kernel is faster).  Measurement is *order-balanced*: each
-    repeat alternates which kernel runs first, so CPU-frequency drift
-    within a pair cancels instead of biasing one side.  Array solves
-    run inside a single shared kernel arena with a reset per solve —
-    the sweep runner's batched-entry shape — and the arena's hit/miss
-    counters land in the suite config.  Makespans are asserted
-    identical per cell, so a speedup is never bought with a behavior
-    change.
-    """
-    from repro.core.arraykernel import KernelArena, arena_scope
-
-    unknown = [name for name in algorithms if name not in KERNEL_FAMILIES]
-    if unknown:
-        raise ValueError(
-            f"no kernel-suite grid for {unknown}; supported: "
-            f"{sorted(KERNEL_FAMILIES)}"
-        )
-    arena = KernelArena()
-    results: List[dict] = []
-    for name in algorithms:
-        family, machines_for = KERNEL_FAMILIES[name]
-        solver = get_algorithm(name)
-
-        def factory(n_target, machines, seed, _family=family):
-            if _family == "uniform":
-                return _bench_instance(n_target, machines, seed)
-            return generate(_family, machines, n_target, seed)
-
-        for n_target in sizes:
-            machines = (
-                DEFAULT_MACHINES
-                if machines_for is None
-                else machines_for(n_target)
-            )
-            instance = factory(n_target, machines, seed)
-            t_object: List[float] = []
-            t_array: List[float] = []
-            result_object = result_array = None
-            for i in range(max(1, repeats)):
-                order = ("object", "array") if i % 2 == 0 else (
-                    "array", "object"
-                )
-                for which in order:
-                    fresh = factory(n_target, machines, seed)
-                    if which == "object":
-                        t0 = time.perf_counter()
-                        result_object = solver(fresh, kernel="object")
-                        t_object.append(time.perf_counter() - t0)
-                    else:
-                        with arena_scope(arena):
-                            t0 = time.perf_counter()
-                            result_array = solver(fresh, kernel="array")
-                            t_array.append(time.perf_counter() - t0)
-                            arena.reset()
-            cell = {
-                "suite": "kernel",
-                "algorithm": name,
-                "family": family,
-                "n_target": n_target,
-                "n_jobs": instance.num_jobs,
-                "n_classes": instance.num_classes,
-                "machines": machines,
-                "median_s": statistics.median(t_array),
-                "min_s": min(t_array),
-                "object_median_s": statistics.median(t_object),
-                "repeats": len(t_array),
-                "valid": True,
-            }
-            if cell["median_s"] > 0:
-                cell["speedup_vs_object"] = (
-                    cell["object_median_s"] / cell["median_s"]
-                )
-            if validate:
-                _validate_cell(instance, result_array, cell)
-            if (
-                result_object.schedule.makespan_ticks
-                != result_array.schedule.makespan_ticks
-            ):
-                cell["valid"] = False
-                cell["error"] = (
-                    "object/array kernel makespan mismatch: "
-                    f"{result_object.schedule.makespan} vs "
-                    f"{result_array.schedule.makespan}"
-                )
-            results.append(cell)
-    return {
-        "benchmark": BENCHMARK_NAME,
-        "config": {
-            "suite": "kernel",
-            "families": {
-                name: KERNEL_FAMILIES[name][0] for name in algorithms
-            },
-            "sizes": list(sizes),
-            "seed": seed,
-            "repeats": repeats,
-            "algorithms": list(algorithms),
-            "arena": {"hits": arena.hits, "misses": arena.misses},
-        },
-        "python": platform.python_version(),
-        "results": results,
-    }
-
-
 def _attach_eptas_phases(cell: dict, solve_once) -> None:
     """Annotate an eptas cell with per-phase span totals from one extra
     solve under an enabled (in-memory) tracer.
@@ -680,9 +530,9 @@ def run_eptas_suite(
     (:func:`repro.algorithms.reference.reference_eptas`), recording both
     medians plus ``speedup_vs_rebuild = rebuild_median_s / median_s``
     (> 1 means the incremental driver is faster).  Measurement is
-    *order-balanced* like the kernel suite: each repeat alternates which
-    driver runs first.  Makespans are asserted identical per cell — the
-    incremental search's reuse (signature-memoized IP outcomes, cached
+    *order-balanced*: each repeat alternates which driver runs first.
+    Makespans are asserted identical per cell — the incremental
+    search's reuse (signature-memoized IP outcomes, cached
     constraint blocks, profile-based bands) must never change the
     schedule — and augmentation-mode schedules validate against the
     augmented instance.
@@ -888,23 +738,17 @@ def run_runner_suite(
     machines: int = RUNNER_MACHINES,
     size: int = RUNNER_SIZE,
     algorithm: str = RUNNER_ALGORITHM,
-    latency_s: float = RUNNER_LATENCY_S,
     repeats: int = 3,
     seed: int = 0,
-    workers: int = 4,
 ) -> dict:
     """The execution-backend scaling grid (``--suite runner``).
 
-    One fixed plan (``instances`` × 1 algorithm, deferred payloads) is
-    swept through each backend against a
-    :class:`~repro.runner.repository.RemoteInstanceRepository` with
-    ``latency_s`` per fetch.  Measured per config (median of
-    ``repeats``): total sweep wall-clock, cells/sec, steal counts,
-    retries and the prefetch hit rate — plus ``speedup_vs_seed_pool``,
-    the throughput factor over the seed engine's flat
-    ``ProcessPoolExecutor`` path (payloads resolved synchronously in
-    the dispatcher, so repository IO serializes; that path is measured
-    here as the ``pool`` backend at the same worker count).
+    One fixed plan (``instances`` × 1 algorithm, deferred payloads over
+    an in-memory repository) is swept by ``serial`` and by ``sharded``
+    at each of ``shard_counts``.  Measured per config (median of
+    ``repeats``): total sweep wall-clock, cells/sec, steal counts and
+    retries, plus ``speedup_vs_serial``, the throughput factor over the
+    in-process reference.
 
     Every config's record stream is checked cell-for-cell against the
     serial reference stream (canonical form, timing excluded), so a
@@ -913,28 +757,15 @@ def run_runner_suite(
     from repro.runner.engine import run_plan
     from repro.runner.plan import WorkPlan
     from repro.runner.records import canonical_stream
-    from repro.runner.repository import (
-        InstanceRepository,
-        RemoteInstanceRepository,
-    )
+    from repro.runner.repository import InstanceRepository
 
-    base_repo = InstanceRepository.from_families(
+    repo = InstanceRepository.from_families(
         ["uniform"], [machines], [size],
         list(range(seed, seed + instances)),
     )
 
-    def build() -> tuple:
-        repo = RemoteInstanceRepository(base_repo, latency_s=latency_s)
-        plan = WorkPlan.from_product(
-            repo, [algorithm], defer_payloads=True
-        )
-        return repo, plan
-
     #: (label, run_plan kwargs, scaling knob recorded as n_target)
-    configs = [
-        ("serial", {"backend": "serial"}, 1),
-        ("pool", {"backend": "pool", "workers": workers}, 1),
-    ]
+    configs = [("serial", {"backend": "serial"}, 1)]
     for count in shard_counts:
         configs.append(
             (
@@ -943,32 +774,19 @@ def run_runner_suite(
                 count,
             )
         )
-    configs.append(
-        (
-            "prefetch+pool",
-            {
-                "backend": "prefetch",
-                "prefetch_inner": "pool",
-                "workers": workers,
-                "prefetch_window": max(shard_counts) if shard_counts else 4,
-            },
-            1,
-        )
-    )
 
     reference_stream: Optional[str] = None
     results: List[dict] = []
-    pool_median: Optional[float] = None
     for label, kwargs, knob in configs:
         timings: List[float] = []
         last = None
-        fetches = 0
         for _ in range(max(1, repeats)):
-            repo, plan = build()
+            plan = WorkPlan.from_product(
+                repo, [algorithm], defer_payloads=True
+            )
             t0 = time.perf_counter()
             last = run_plan(plan, None, repository=repo, **kwargs)
             timings.append(time.perf_counter() - t0)
-            fetches = repo.fetch_count
         median = statistics.median(timings)
         n_cells = len(last.records)
         stream = canonical_stream(last.records)
@@ -986,7 +804,6 @@ def run_runner_suite(
             "min_s": min(timings),
             "repeats": len(timings),
             "cells_per_sec": round(n_cells / median, 3) if median > 0 else None,
-            "repository_fetches": fetches,
             "errors": last.errors,
             "valid": last.errors == 0 and stream == reference_stream,
         }
@@ -994,18 +811,16 @@ def run_runner_suite(
             cell["error"] = (
                 "canonical record stream differs from the serial reference"
             )
-        for key in ("steals", "retries", "quarantined", "prefetch_hit_rate"):
+        for key in ("steals", "retries", "quarantined"):
             if key in last.stats:
                 cell[key] = last.stats[key]
-        if label == "pool":
-            pool_median = median
         results.append(cell)
-    if pool_median is not None:
-        for cell in results:
-            if cell["median_s"] > 0:
-                cell["speedup_vs_seed_pool"] = round(
-                    pool_median / cell["median_s"], 3
-                )
+    serial_median = results[0]["median_s"]
+    for cell in results:
+        if cell["median_s"] > 0:
+            cell["speedup_vs_serial"] = round(
+                serial_median / cell["median_s"], 3
+            )
     return {
         "benchmark": BENCHMARK_NAME,
         "config": {
@@ -1015,9 +830,7 @@ def run_runner_suite(
             "machines": machines,
             "size": size,
             "algorithm": algorithm,
-            "latency_s": latency_s,
             "shard_counts": list(shard_counts),
-            "workers": workers,
             "seed": seed,
             "repeats": repeats,
         },
@@ -1050,8 +863,15 @@ def load_bench_json(path) -> dict:
         return json.load(handle)
 
 
+def _cell_id(cell: Mapping) -> tuple:
+    """Identity of a bench cell across runs.  Suites may time the same
+    algorithm at the same size; a cell without a ``suite`` (artifacts
+    older than the field) belongs to ``default``."""
+    return (cell.get("suite", "default"), cell["algorithm"], cell["n_target"])
+
+
 def _index(results: Sequence[Mapping]) -> Dict[tuple, Mapping]:
-    return {(cell["algorithm"], cell["n_target"]): cell for cell in results}
+    return {_cell_id(cell): cell for cell in results}
 
 
 def attach_baseline(data: dict, baseline: dict) -> dict:
@@ -1059,7 +879,7 @@ def attach_baseline(data: dict, baseline: dict) -> dict:
     (``baseline_median_s / median_s``; > 1 means this run is faster)."""
     base = _index(baseline.get("results", []))
     for cell in data["results"]:
-        ref = base.get((cell["algorithm"], cell["n_target"]))
+        ref = base.get(_cell_id(cell))
         if ref is None:
             continue
         cell["baseline_median_s"] = ref["median_s"]
@@ -1100,9 +920,6 @@ def write_bench_json(
     naive_speedups = largest_size_speedups(data, key="speedup_vs_naive")
     if naive_speedups:
         data["largest_size_speedups_vs_naive"] = naive_speedups
-    kernel_speedups = largest_size_speedups(data, key="speedup_vs_object")
-    if kernel_speedups:
-        data["largest_size_speedups_vs_object"] = kernel_speedups
     eptas_speedups = largest_size_speedups(data, key="speedup_vs_rebuild")
     if eptas_speedups:
         data["largest_size_speedups_vs_rebuild"] = eptas_speedups
@@ -1118,7 +935,6 @@ def write_bench_json(
 #: the raw medians moved with machine noise in the same direction.
 _REGRESSION_HEADLINES = (
     "largest_size_speedups_vs_naive",
-    "largest_size_speedups_vs_object",
     "largest_size_speedups_vs_rebuild",
     # traced/null ratio from the obs suite: a drop means the disabled
     # (null-tracer) hot path got slower relative to the traced path.
@@ -1136,7 +952,7 @@ def check_regressions(
     * **cell medians** — a cell whose ``median_s`` exceeds the matching
       baseline cell's by more than ``pct`` percent;
     * **headline speedups** — an algorithm whose
-      ``largest_size_speedups_vs_naive`` / ``…_vs_object`` factor fell
+      ``largest_size_speedups_vs_naive`` / ``…_vs_rebuild`` factor fell
       more than ``pct`` percent below the baseline's (these are
       within-run *ratios*, so they regress only when the kernel itself
       got slower relative to its in-run reference, not when the whole
@@ -1149,7 +965,7 @@ def check_regressions(
     tol = 1.0 + pct / 100.0
     base = _index(baseline.get("results", []))
     for cell in data.get("results", []):
-        ref = base.get((cell["algorithm"], cell["n_target"]))
+        ref = base.get(_cell_id(cell))
         if ref is None or not ref.get("median_s"):
             continue
         if cell["median_s"] > ref["median_s"] * tol:

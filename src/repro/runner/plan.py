@@ -67,8 +67,8 @@ class RunSpec:
     ``instance_payload`` is the serialized instance, or ``None`` for a
     *deferred* cell (``WorkPlan.add(..., defer_payload=True)``): the
     executing backend then fetches the payload from the sweep's
-    repository at run time — the hook the ``prefetch`` backend and
-    remote repositories build on.  The cache key is always available:
+    repository at run time — the ``sharded`` backend's workers fetch
+    their own payloads this way.  The cache key is always available:
     the content hash is computed at plan time either way.
     """
 

@@ -11,15 +11,10 @@ Execution backends fetch serialized instances through
 :meth:`InstanceRepository.fetch_payload` — the IO boundary that
 *deferred* plan cells (``WorkPlan.from_product(...,
 defer_payloads=True)``) resolve through at run time.
-:class:`RemoteInstanceRepository` wraps any repository with a simulated
-per-fetch latency so the prefetch pipeline and backend benchmarks can
-exercise the remote-repository regime (fetch cost comparable to solve
-cost) without a network.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
@@ -29,7 +24,7 @@ import json
 from repro.core.instance import Instance
 from repro.workloads import generate
 
-__all__ = ["InstanceRef", "InstanceRepository", "RemoteInstanceRepository"]
+__all__ = ["InstanceRef", "InstanceRepository"]
 
 
 @dataclass
@@ -133,48 +128,3 @@ class InstanceRepository:
 
     def __iter__(self) -> Iterator[InstanceRef]:
         return iter(self._refs)
-
-
-class RemoteInstanceRepository:
-    """A repository whose fetches cost wall-clock time.
-
-    Wraps any repository-shaped object (iterable of refs with
-    ``fetch_payload``) and sleeps ``latency_s`` inside every
-    :meth:`fetch_payload` call, simulating a remote instance store
-    (object storage, a result DB, another host).  Used by the
-    ``prefetch`` backend tests and the ``--suite runner`` benchmark to
-    measure how well a backend overlaps repository IO with solving;
-    ``fetch_count`` records how many fetches actually happened — backed
-    by a shared-memory counter so fetches performed inside forked shard
-    workers are visible to the coordinator too.
-    """
-
-    def __init__(self, inner, latency_s: float = 0.02) -> None:
-        import multiprocessing
-
-        self.inner = inner
-        self.latency_s = float(latency_s)
-        self._fetch_count = multiprocessing.Value("l", 0)
-
-    @property
-    def fetch_count(self) -> int:
-        return self._fetch_count.value
-
-    def fetch_payload(self, name: str) -> dict:
-        with self._fetch_count.get_lock():
-            self._fetch_count.value += 1
-        if self.latency_s > 0:
-            time.sleep(self.latency_s)
-        return self.inner.fetch_payload(name)
-
-    def get(self, name: str) -> InstanceRef:
-        return self.inner.get(name)
-
-    def names(self) -> List[str]:
-        return self.inner.names()
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __iter__(self) -> Iterator[InstanceRef]:
-        return iter(self.inner)

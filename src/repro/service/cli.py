@@ -141,7 +141,7 @@ def add_service_parsers(sub, positive_int, nonnegative_int) -> None:
     )
     p_serve.add_argument(
         "--backend",
-        choices=("auto", "serial", "pool", "sharded", "prefetch"),
+        choices=("auto", "serial", "sharded"),
         default="auto",
         help="execution backend for dispatched batches",
     )

@@ -451,6 +451,26 @@ class TestClassBusyReserve:
         with pytest.raises(InvalidScheduleError):
             reservations.flush()
 
+    def test_rejected_reservations_never_half_commit(self):
+        """A scalar overlap, a batch that overlaps a committed run and a
+        batch that overlaps itself are each rejected whole; the clean
+        batch then commits."""
+        busy = ClassBusy()
+        busy.seed_run(100, 110)
+        busy.reserve(200, 230)
+        with pytest.raises(InvalidScheduleError):
+            busy.reserve(225, 240)
+        pending = [(1000 + 20 * i, 1000 + 20 * i + 8) for i in range(40)]
+        with pytest.raises(InvalidScheduleError):
+            busy.merge_reserve(pending + [(105, 116)])
+        with pytest.raises(InvalidScheduleError):
+            busy.merge_reserve(pending + [(1004, 1010)])
+        assert busy.intervals() == [(100, 110), (200, 230)]
+        busy.merge_reserve(pending)
+        assert busy.intervals() == [(100, 110), (200, 230)] + pending
+        assert busy.earliest_free(0, 50) == 0
+        assert busy.earliest_free(205, 4) == 230
+
     def test_merge_reserve_matches_eager_reservation(self):
         import itertools
         import random

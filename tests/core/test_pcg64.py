@@ -18,11 +18,10 @@ from repro.util._pcg64 import (
     stdlib_default_rng,
 )
 from repro.util.rng import HAVE_NUMPY, make_rng
+from tests.markers import needs_numpy
 
 if HAVE_NUMPY:
     import numpy as np
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 # C++ seed_seq_fe reference data (same vectors numpy's
 # test_seed_sequence.py checks: gist.github.com/imneme/540829265469e673d045).

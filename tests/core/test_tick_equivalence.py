@@ -8,7 +8,9 @@ preserving:
   makespan and raising behavior of every registry algorithm on a
   deterministic workload corpus, *generated by running the pre-refactor
   pure-Fraction implementation* (see ``tests/data/make_goldens.py``).
-  The tests below replay the corpus and require byte equality.
+  The tests below replay the corpus and require byte equality, both
+  from the registry implementations and from the preserved references
+  of :mod:`repro.algorithms.reference`.
 
 * **Property tests** — hypothesis drives random instances through the
   registry algorithms and random operation sequences through
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import solve
+from repro.algorithms.reference import ALL_REFERENCES
 from repro.core.errors import InvalidScheduleError
 from repro.core.instance import Job
 from repro.core.machine import MachineState
@@ -76,6 +79,24 @@ def test_seed_golden_equivalence(cell):
     """Schedules (and errors) are identical to the seed implementation
     (replayed through the ``tests/equivalence.py`` harness)."""
     replay_golden_cell(cell)
+
+
+_REFERENCE_GOLDEN_CELLS = golden_cells(ALL_REFERENCES)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        pytest.param(c, marks=_golden_marks(c))
+        for c in _REFERENCE_GOLDEN_CELLS
+    ],
+    ids=[golden_cell_id(c) + "-reference" for c in _REFERENCE_GOLDEN_CELLS],
+)
+def test_reference_replays_seed_goldens(cell):
+    """The preserved references — the oracles every equivalence test
+    compares against — reproduce the seed corpus too, so an oracle that
+    drifted would fail here instead of agreeing with a drifted kernel."""
+    replay_golden_cell(cell, solver=ALL_REFERENCES[cell["algorithm"]])
 
 
 class TestScheduleProperties:

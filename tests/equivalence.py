@@ -18,28 +18,18 @@ a future port only declares its reference pair and reuses the machinery:
 * **step-count shims** — :func:`kernel_counters` pulls the counting-shim
   counters out of a result and :func:`assert_subquadratic_growth`
   encodes the "4× the input must cost ≪ 16× the work" regression check.
-* **kernel-family equivalence** — :func:`assert_kernels_agree` runs one
-  algorithm under the object kernel and the structure-of-arrays kernel
-  (PR 7) and requires bit-identical decisions *and* identical work
-  counters; :func:`forced_kernel` flips the ``REPRO_KERNEL`` default so
-  a whole code path (or the whole suite) runs array-backed.
 
 ``EQUIVALENCE_PAIRS`` maps each ported registry algorithm to its
-preserved reference solver: the dispatching baselines (PR 3), the
-approximation algorithms (PR 4) and the rebuild-per-guess EPTAS driver
-(PR 8).  ``KERNEL_PORTED_ALGORITHMS`` lists
-the solvers threaded onto the pluggable kernel (the same six — they
-accept ``kernel=`` and stamp ``stats["kernel_impl"]``).
+preserved reference solver: the dispatching baselines, the
+approximation algorithms and the rebuild-per-guess EPTAS driver.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from repro import solve
 from repro.algorithms.base import ScheduleResult
@@ -58,18 +48,6 @@ EQUIVALENCE_PAIRS: Dict[str, Callable[..., ScheduleResult]] = {
     **APPROX_REFERENCES,
     **EPTAS_REFERENCES,
 }
-
-#: Registry algorithms threaded onto the pluggable dispatch kernel:
-#: they accept ``kernel=`` and run identically on the object and the
-#: structure-of-arrays families.
-KERNEL_PORTED_ALGORITHMS = (
-    "class_greedy",
-    "five_thirds",
-    "list_lpt",
-    "merge_lpt",
-    "no_huge",
-    "three_halves",
-)
 
 _GOLDENS_PATH = Path(__file__).parent / "data" / "goldens_seed.json"
 
@@ -136,81 +114,6 @@ def assert_matches_reference(
     )
     ref = run_and_capture(reference, inst, **kwargs)
     assert_same_outcome(kernel, ref, context=algorithm)
-
-
-@contextmanager
-def forced_kernel(name: str) -> Iterator[None]:
-    """Force the default kernel family to ``name`` for the block.
-
-    Flips the ``REPRO_KERNEL`` environment default that
-    :func:`repro.core.arraykernel.resolve_kernel` consults, so every
-    solve inside the block that does not pass an explicit ``kernel=``
-    runs on the requested family — including kernel-threaded calls made
-    *inside* solvers that expose no kernel parameter themselves.
-    """
-    from repro.core.arraykernel import KERNEL_ENV
-
-    previous = os.environ.get(KERNEL_ENV)
-    os.environ[KERNEL_ENV] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous
-
-
-def assert_kernels_agree(
-    inst: Instance, algorithm: str, **kwargs
-) -> Outcome:
-    """Run ``algorithm`` under the object kernel and the array kernel
-    and require bit-identical decisions *and* identical work counters
-    (the array kernel must match the object kernel's accept/reject
-    choices step for step, not merely land on the same schedule).
-    Returns the shared outcome."""
-    obj = run_and_capture(
-        lambda i, **kw: solve(
-            i, algorithm=algorithm, kernel="object", **kw
-        ),
-        inst,
-        **kwargs,
-    )
-    arr = run_and_capture(
-        lambda i, **kw: solve(
-            i, algorithm=algorithm, kernel="array", **kw
-        ),
-        inst,
-        **kwargs,
-    )
-    assert_same_outcome(
-        arr, obj, context=f"{algorithm}: array vs object kernel"
-    )
-    if not obj.raised:
-        # Trivial fast paths (empty instance, one class per machine)
-        # return before kernel resolution and carry no stamp; both
-        # families must take the same path.
-        stamped = "kernel_impl" in obj.result.stats
-        assert ("kernel_impl" in arr.result.stats) == stamped
-        if stamped:
-            assert obj.result.stats["kernel_impl"] == "object"
-            assert arr.result.stats["kernel_impl"] == "array"
-            # Not every path carries a counting shim (e.g. merge_lpt's
-            # single-machine merge never touches the dispatch state);
-            # when one side has counters, both must, and they agree.
-            counted = any(
-                key in obj.result.stats for key in ("kernel", "dispatch")
-            )
-            if counted:
-                assert kernel_counters(arr.result) == kernel_counters(
-                    obj.result
-                ), f"{algorithm}: kernel work counters diverged"
-            else:
-                assert not any(
-                    key in arr.result.stats
-                    for key in ("kernel", "dispatch")
-                )
-    return obj
 
 
 # --------------------------------------------------------------------- #
@@ -289,18 +192,15 @@ def kernel_counters(result: ScheduleResult) -> Dict[str, int]:
     return dict(counters)
 
 
-def traced_solve(
-    inst: Instance, algorithm: str, kernel: str = "object", **kwargs
-):
-    """Solve under an enabled in-memory tracer (and the given kernel
-    family); returns ``(result, promoted counters dict)``."""
+def traced_solve(inst: Instance, algorithm: str, **kwargs):
+    """Solve under an enabled in-memory tracer; returns ``(result,
+    promoted counters dict)``."""
     from repro.obs import Tracer, set_tracer
 
     tracer = Tracer()
     previous = set_tracer(tracer)
     try:
-        with forced_kernel(kernel):
-            result = solve(inst, algorithm=algorithm, **kwargs)
+        result = solve(inst, algorithm=algorithm, **kwargs)
     finally:
         set_tracer(previous)
     return result, dict(tracer.counters)
@@ -308,44 +208,33 @@ def traced_solve(
 
 def assert_traced_counters_match(inst: Instance, algorithm: str) -> None:
     """The obs layer's promoted ``kernel.*`` counters must equal the
-    step-count shim counters bit for bit — and be identical under both
-    kernel families.  A drift here means telemetry invented numbers the
-    counting shims never recorded (or the kernels stopped doing the
-    same abstract work)."""
-    per_kernel: Dict[str, Dict[str, int]] = {}
-    for kernel in ("object", "array"):
-        try:
-            result, counters = traced_solve(inst, algorithm, kernel)
-        except ReproError:
-            return  # declared precondition/infeasibility: nothing traced
-        promoted = {
-            key: value
-            for key, value in counters.items()
-            if key.startswith("kernel.")
-        }
-        shim = (result.stats or {}).get(
-            "kernel", (result.stats or {}).get("dispatch")
+    step-count shim counters bit for bit.  A drift here means telemetry
+    invented numbers the counting shims never recorded."""
+    try:
+        result, counters = traced_solve(inst, algorithm)
+    except ReproError:
+        return  # declared precondition/infeasibility: nothing traced
+    promoted = {
+        key: value
+        for key, value in counters.items()
+        if key.startswith("kernel.")
+    }
+    shim = (result.stats or {}).get(
+        "kernel", (result.stats or {}).get("dispatch")
+    )
+    if shim is None:
+        assert not promoted, (
+            f"{algorithm}: counters promoted to the tracer but the "
+            "result carries no counting shim"
         )
-        if shim is None:
-            assert not promoted, (
-                f"{algorithm} [{kernel}]: counters promoted to the "
-                "tracer but the result carries no counting shim"
-            )
-            return
-        expected = {
-            f"kernel.{key}": value
-            for key, value in shim.items()
-            if isinstance(value, (int, float))
-            and not isinstance(value, bool)
-        }
-        assert promoted == expected, (
-            f"{algorithm} [{kernel}]: traced counters diverged from "
-            "the step-count shims"
-        )
-        per_kernel[kernel] = promoted
-    assert per_kernel["object"] == per_kernel["array"], (
-        f"{algorithm}: traced kernel counters differ across kernel "
-        "families"
+        return
+    expected = {
+        f"kernel.{key}": value
+        for key, value in shim.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
+    assert promoted == expected, (
+        f"{algorithm}: traced counters diverged from the step-count shims"
     )
 
 

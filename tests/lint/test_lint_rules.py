@@ -53,20 +53,6 @@ class TestRep001TickDiscipline:
         ]
         assert {f.line for f in dispatch} == {16, 21}
 
-    def test_arraykernel_is_in_scope(self):
-        # A Fraction planted in core/arraykernel/ turns the lint red:
-        # the array kernel carries the same tick discipline as
-        # core/dispatch.py (its constant-rational and serialization
-        # allowlists included).
-        active, _ = by_status(lint_fixture("rep001", "REP001"))
-        planted = [f for f in active if "arraykernel" in f.path]
-        assert [f.line for f in planted] == [13]
-        from repro.lint.rules.rep001_ticks import TickDisciplineRule
-
-        rule = TickDisciplineRule()
-        assert rule.applies_to("src/repro/core/arraykernel/busy.py")
-        assert rule.applies_to("src/repro/core/arraykernel/frontier.py")
-
 
 class TestRep002Determinism:
     def test_positives(self):
@@ -134,10 +120,10 @@ class TestRep003PicklingSafety:
         flagged = {f.line for f in active} | {f.line for f in suppressed}
         assert flagged.isdisjoint({21, 30, 40})
 
-    def test_batched_worker_entry_is_in_scope(self):
-        # The batched cell entry (execute_cells) and the shard worker
-        # both live under runner/ — anything they hand across a process
-        # boundary stays covered by the pickling contract.
+    def test_runner_backends_are_in_scope(self):
+        # The cell payload builder and the shard worker both live under
+        # runner/ — anything they hand across a process boundary stays
+        # covered by the pickling contract.
         from repro.lint.rules.rep003_pickling import PicklingSafetyRule
 
         rule = PicklingSafetyRule()

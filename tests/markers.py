@@ -1,8 +1,8 @@
 """Shared capability markers.
 
 The suite must pass on a numpy-free (and therefore scipy-free)
-interpreter: the array kernel and the seeded RNG degrade to stdlib
-implementations with identical behavior, while the MILP-backed solvers
+interpreter: the seeded RNG degrades to a stdlib implementation with
+identical behavior, while the MILP-backed solvers
 (``exact`` past the branch-and-bound size cutoff, ``exact_milp``, the
 EPTAS window IP) declare a ``PreconditionError``.  Tests that *require*
 the MILP backend carry ``needs_milp`` and skip on that leg; tests that
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.arraykernel import HAVE_NUMPY
 from repro.ptas.ip import _HAVE_MILP
+from repro.util.rng import HAVE_NUMPY
 
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="numpy not installed"

@@ -1,11 +1,11 @@
 """Tests for the pluggable execution-backend subsystem.
 
 Covers the subsystem's contract: cross-backend determinism (one plan,
-identical canonical record streams through ``serial``/``pool``/
-``sharded``/``prefetch``), the sharded backend's work stealing, crash
-requeue + poison-cell quarantine, part-file recovery, backend-agnostic
-resume, the prefetch pipeline's hit-rate accounting, and the v2 record
-schema.
+identical canonical record streams through ``serial`` and ``sharded``),
+the sharded backend's work stealing, crash requeue + poison-cell
+quarantine (a worker killed while holding a lock it shares with the
+coordinator included), part-file recovery, backend-agnostic resume,
+deferred-payload fetch failures, and the v2 record schema.
 """
 
 import json
@@ -18,7 +18,6 @@ import pytest
 from repro.algorithms import registry
 from repro.runner import (
     InstanceRepository,
-    RemoteInstanceRepository,
     RunRecord,
     WorkPlan,
     available_backends,
@@ -72,10 +71,8 @@ def fake_algorithm():
 
 
 class TestRegistry:
-    def test_four_backends_available(self):
-        assert {"serial", "pool", "sharded", "prefetch"} <= set(
-            available_backends()
-        )
+    def test_serial_and_sharded_are_the_backends(self):
+        assert available_backends() == ("serial", "sharded")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -90,16 +87,19 @@ class TestCrossBackendDeterminism:
     """Acceptance: one shared plan must produce identical canonical
     record streams through every backend (timing/provenance excluded)."""
 
-    def test_serial_pool_sharded_prefetch_identical(
+    def test_serial_and_sharded_identical(
         self, golden_plan, repo, tmp_path
     ):
         reference = run_plan(golden_plan, tmp_path / "serial.jsonl")
         assert reference.backend == "serial" and reference.errors == 0
         golden = canonical_stream(reference.records)
 
-        pool = run_plan(golden_plan, tmp_path / "pool.jsonl", workers=2)
-        assert pool.backend == "pool"
-        assert canonical_stream(pool.records) == golden
+        # More than one worker selects the sharded backend, one shard
+        # per worker.
+        parallel = run_plan(golden_plan, tmp_path / "workers.jsonl", workers=2)
+        assert parallel.backend == "sharded"
+        assert parallel.stats["shards"] == 2
+        assert canonical_stream(parallel.records) == golden
 
         sharded = run_plan(
             golden_plan, tmp_path / "sharded.jsonl", backend="sharded",
@@ -108,17 +108,18 @@ class TestCrossBackendDeterminism:
         assert sharded.backend == "sharded"
         assert canonical_stream(sharded.records) == golden
 
+        # Deferred payloads are fetched inside the shard workers.
         deferred = WorkPlan.from_product(
             repo, ["three_halves", "merge_lpt"], defer_payloads=True
         )
-        prefetch = run_plan(
+        fetched = run_plan(
             deferred,
-            tmp_path / "prefetch.jsonl",
-            backend="prefetch",
-            prefetch_inner="serial",
-            repository=RemoteInstanceRepository(repo, latency_s=0.001),
+            tmp_path / "deferred.jsonl",
+            backend="sharded",
+            shards=2,
+            repository=repo,
         )
-        assert canonical_stream(prefetch.records) == golden
+        assert canonical_stream(fetched.records) == golden
 
     def test_sharded_jsonl_is_key_ordered_and_parts_cleaned(
         self, golden_plan, tmp_path
@@ -307,6 +308,103 @@ class TestCrashInjection:
             rec.ok for rec in result.records if rec.algorithm == "merge_lpt"
         )
 
+    def test_worker_killed_holding_a_shared_lock_cannot_hang(self, tmp_path):
+        """Regression: a worker SIGKILLed while it holds a lock it shares
+        with the coordinator or the other workers (a result queue's
+        writer lock, say) must not stall the sweep.  The shim takes every
+        multiprocessing lock reachable from its worker frame, then kills
+        itself; the sweep runs in a subprocess so a hang fails the test
+        instead of blocking the suite."""
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        script = tmp_path / "lock_kill_sweep.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import multiprocessing.synchronize, os, signal, sys, time
+
+                from repro.algorithms import get_algorithm, registry
+                from repro.runner import InstanceRepository, WorkPlan, run_plan
+                from repro.workloads import generate
+
+                def _grab_locks_and_die(instance, marker=None, **kwargs):
+                    if not os.path.exists(marker):
+                        open(marker, "w").close()
+                        frame = sys._getframe()
+                        while frame is not None and (
+                            frame.f_code.co_name != "_shard_worker"
+                        ):
+                            frame = frame.f_back
+                        values = frame.f_locals.values() if frame else ()
+                        reachable = []
+                        for value in values:
+                            reachable.append(value)
+                            attrs = getattr(value, "__dict__", {})
+                            reachable.extend(attrs.values())
+                        lock_type = multiprocessing.synchronize.Lock
+                        for obj in reachable:
+                            if isinstance(obj, lock_type):
+                                obj.acquire(False)
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return get_algorithm("merge_lpt")(instance)
+
+                def _nap(instance, **kwargs):
+                    time.sleep(0.05)
+                    return get_algorithm("merge_lpt")(instance)
+
+                registry._REGISTRY["_grab_locks_and_die"] = _grab_locks_and_die
+                registry._REGISTRY["_nap"] = _nap
+                repo = InstanceRepository()
+                refs = [
+                    repo.add(generate("uniform", 2, 6, seed), name=f"i{seed}")
+                    for seed in range(12)
+                ]
+                plan = WorkPlan()
+                marker = {"marker": sys.argv[2]}
+                plan.add(refs[0], "_grab_locks_and_die", marker)
+                for ref in refs:
+                    plan.add(ref, "_nap")
+                result = run_plan(
+                    plan, sys.argv[1], backend="sharded", shards=2
+                )
+                ok = result.errors == 0 and result.stats["retries"] == 1
+                sys.exit(0 if ok else 3)
+                """
+            )
+        )
+        src_dir = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src_dir)] + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                str(script),
+                str(tmp_path / "sweep.jsonl"),
+                str(tmp_path / "killed-once"),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            # Own process group, so a hung coordinator and its workers
+            # can be killed together.
+            start_new_session=True,
+        )
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("sweep hung after a worker died holding a lock")
+        assert proc.returncode == 0, stderr
+        assert (tmp_path / "killed-once").exists()
+        assert len(read_records(tmp_path / "sweep.jsonl")) == 13
+
 
 @fork_only
 class TestKeyboardInterrupt:
@@ -437,9 +535,9 @@ class TestKeyboardInterrupt:
 
 
 class TestBackendAgnosticResume:
-    def test_pool_sweep_resumes_on_sharded(self, golden_plan, tmp_path):
+    def test_serial_sweep_resumes_on_sharded(self, golden_plan, tmp_path):
         out = tmp_path / "sweep.jsonl"
-        first = run_plan(golden_plan, out, workers=2)
+        first = run_plan(golden_plan, out, backend="serial")
         assert first.executed == len(golden_plan)
         second = run_plan(golden_plan, out, backend="sharded", shards=2)
         assert second.executed == 0
@@ -459,31 +557,11 @@ class TestBackendAgnosticResume:
         assert result.executed == len(repo)
 
 
-class TestPrefetch:
-    def test_prefetch_hit_rate_and_fetch_dedup(self, repo, tmp_path):
-        remote = RemoteInstanceRepository(repo, latency_s=0.002)
-        plan = WorkPlan.from_product(
-            repo, ["three_halves", "merge_lpt"], defer_payloads=True
-        )
-        result = run_plan(
-            plan,
-            tmp_path / "prefetch.jsonl",
-            backend="prefetch",
-            prefetch_inner="serial",
-            repository=remote,
-            prefetch_window=4,
-        )
-        assert result.errors == 0
-        # One fetch per distinct instance, not per cell.
-        assert remote.fetch_count == len(repo)
-        stats = result.stats
-        assert stats["prefetch_hits"] + stats["prefetch_misses"] == len(plan)
-        assert 0.0 <= stats["prefetch_hit_rate"] <= 1.0
-        assert all(
-            rec.backend == "prefetch+serial" for rec in result.records
-        )
-
-    def test_fetch_failure_is_error_record_not_crash(self, repo, tmp_path):
+class TestDeferredPayloads:
+    @pytest.mark.parametrize("backend", ["serial", "sharded"])
+    def test_fetch_failure_is_error_record_not_crash(
+        self, repo, tmp_path, backend
+    ):
         class FlakyRepo:
             def __init__(self, inner, bad_name):
                 self.inner = inner
@@ -501,41 +579,14 @@ class TestPrefetch:
         result = run_plan(
             plan,
             tmp_path / "flaky.jsonl",
-            backend="prefetch",
-            prefetch_inner="serial",
+            backend=backend,
+            shards=2,
             repository=FlakyRepo(repo, bad_name),
         )
         bad = [rec for rec in result.records if not rec.ok]
         assert len(bad) == 1 and bad[0].instance == bad_name
         assert "remote unavailable" in bad[0].error
         assert sum(1 for rec in result.records if rec.ok) == len(repo) - 1
-
-    def test_prefetch_over_sharded_delegates_to_workers(
-        self, repo, tmp_path
-    ):
-        """A fetches-in-workers inner (sharded) gets cells passed
-        through unresolved: shard workers fetch concurrently, and the
-        shared fetch counter sees their forked-process fetches."""
-        remote = RemoteInstanceRepository(repo, latency_s=0.001)
-        plan = WorkPlan.from_product(
-            repo, ["merge_lpt"], defer_payloads=True
-        )
-        result = run_plan(
-            plan,
-            tmp_path / "delegated.jsonl",
-            backend="prefetch",
-            prefetch_inner="sharded",
-            shards=2,
-            repository=remote,
-        )
-        assert result.errors == 0
-        assert result.stats.get("prefetch_delegated_to_workers") is True
-        assert "prefetch_hit_rate" not in result.stats
-        # Worker-side fetches are visible through the shared counter.
-        assert remote.fetch_count == len(plan)
-        assert all(
-            rec.backend == "prefetch+sharded" for rec in result.records
-        )
 
     def test_deferred_plan_without_repository_is_error_records(self, repo):
         plan = WorkPlan.from_product(repo, ["merge_lpt"], defer_payloads=True)
@@ -614,84 +665,3 @@ class TestRecordSchemaV2:
             assert key not in canonical
         for key in ("instance", "makespan", "valid", "schema"):
             assert key in canonical
-
-
-class TestBatchedCellEntry:
-    """The batched worker entry (``execute_cells``): one shared kernel
-    arena across a payload batch, streaming records, never raising."""
-
-    @staticmethod
-    def _payload(name, inst, algorithm="class_greedy", params=None):
-        return {
-            "instance_name": name,
-            "instance_hash": f"h-{name}",
-            "algorithm": algorithm,
-            "params": params or {},
-            "meta": {},
-            "instance_payload": inst.to_dict(),
-        }
-
-    def test_streams_records_in_input_order(self):
-        from repro.runner.backends.base import execute_cell, execute_cells
-
-        payloads = [
-            self._payload(
-                f"cell{seed}",
-                generate("uniform", 3, 8, seed),
-                params={"kernel": "array"},
-            )
-            for seed in range(4)
-        ]
-        records = list(execute_cells(iter(payloads)))
-        assert [r["instance"] for r in records] == [
-            f"cell{seed}" for seed in range(4)
-        ]
-        # Batch and per-cell entries agree cell for cell (wall time aside).
-        for payload, record in zip(payloads, records):
-            solo = execute_cell(payload)
-            assert record["status"] == "ok"
-            assert record["valid"]
-            assert record["makespan"] == solo["makespan"]
-
-    def test_one_arena_is_shared_across_the_batch(self, monkeypatch):
-        from contextlib import contextmanager
-
-        import repro.core.arraykernel as arraykernel
-        from repro.runner.backends.base import execute_cells
-
-        captured = []
-        real_scope = arraykernel.arena_scope
-
-        @contextmanager
-        def capturing_scope(arena=None):
-            with real_scope(arena) as shared:
-                captured.append(shared)
-                yield shared
-
-        monkeypatch.setattr(arraykernel, "arena_scope", capturing_scope)
-        payloads = [
-            self._payload(
-                f"c{seed}",
-                generate("uniform", 3, 30, seed),
-                algorithm="five_thirds",
-                params={"kernel": "array"},
-            )
-            for seed in range(3)
-        ]
-        records = list(execute_cells(iter(payloads)))
-        assert all(r["status"] == "ok" for r in records)
-        # One scope spans the whole batch, and later cells reuse the
-        # first cell's buffers through it.
-        assert len(captured) == 1
-        assert captured[0].hits > 0
-
-    def test_errors_do_not_stop_the_batch(self):
-        from repro.runner.backends.base import execute_cells
-
-        good = self._payload("good", generate("uniform", 3, 6, 0))
-        bad = dict(
-            self._payload("bad", generate("uniform", 3, 6, 1)),
-            instance_payload=None,
-        )
-        records = list(execute_cells(iter([bad, good])))
-        assert [r["status"] for r in records] == ["error", "ok"]

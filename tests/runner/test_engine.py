@@ -228,8 +228,9 @@ class TestAtomicFinalize:
         grown.add(ref, "merge_lpt")
         grown.add(ref, "_interrupt_cell")
         grown.add(ref, "three_halves")
+        # The interrupt must reach this process, so the cell runs in it.
         with pytest.raises(KeyboardInterrupt):
-            run_plan(grown, out)
+            run_plan(grown, out, backend="serial")
         # The canonical file was never touched mid-sweep.
         assert out.read_bytes() == before
         # The staging file holds the adopted prior record, ready for resume.
@@ -283,7 +284,8 @@ class TestAtomicFinalize:
                 plan.add(ref, "merge_lpt")
                 plan.add(ref, "_kill_mid_merge")
                 plan.add(ref, "three_halves")
-                run_plan(plan, sys.argv[1])
+                # In-process, so the SIGKILL hits the sweep itself.
+                run_plan(plan, sys.argv[1], backend="serial")
                 """
             )
         )

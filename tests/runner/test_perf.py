@@ -8,14 +8,15 @@ import pytest
 
 from repro.cli import main
 from repro.runner.perf import (
+    attach_baseline,
     check_regressions,
     largest_size_speedups,
     merge_bench_runs,
     run_approx_suite,
     run_baselines_suite,
     run_eptas_suite,
-    run_kernel_suite,
     run_obs_suite,
+    run_runner_suite,
     run_runtime_scaling,
     write_bench_json,
 )
@@ -137,45 +138,6 @@ def test_cli_bench_suite_approx(tmp_path, capsys):
     }
 
 
-def test_kernel_suite_records_object_comparison():
-    data = run_kernel_suite(
-        sizes=(40,),
-        algorithms=("class_greedy", "five_thirds"),
-        repeats=2,
-    )
-    assert data["config"]["suite"] == "kernel"
-    # Cross-solve buffer reuse really happened: the shared arena served
-    # at least one buffer from its pools after the first solve.
-    assert data["config"]["arena"]["hits"] > 0
-    cells = data["results"]
-    assert {c["algorithm"] for c in cells} == {
-        "class_greedy",
-        "five_thirds",
-    }
-    for cell in cells:
-        assert cell["valid"], cell.get("error")
-        assert cell["suite"] == "kernel"
-        assert cell["median_s"] > 0
-        assert cell["object_median_s"] > 0
-        assert cell["speedup_vs_object"] > 0
-        assert cell["repeats"] == 2
-
-
-def test_kernel_suite_rejects_unknown_algorithms():
-    with pytest.raises(ValueError, match="kernel-suite grid"):
-        run_kernel_suite(sizes=(30,), algorithms=("eptas",))
-
-
-def test_write_bench_json_records_object_headline(tmp_path):
-    data = run_kernel_suite(
-        sizes=(30,), algorithms=("merge_lpt",), repeats=1
-    )
-    written = write_bench_json(tmp_path / "bench.json", data)
-    assert set(written["largest_size_speedups_vs_object"]) == {
-        "merge_lpt"
-    }
-
-
 def _fake_bench(median_by_cell, **headlines):
     return {
         "results": [
@@ -218,41 +180,40 @@ class TestCheckRegressions:
 
     def test_headline_within_tolerance_passes(self):
         base = _fake_bench(
-            {}, largest_size_speedups_vs_object={"no_huge": 1.00}
+            {}, largest_size_speedups_vs_rebuild={"eptas": 1.00}
         )
         data = _fake_bench(
-            {}, largest_size_speedups_vs_object={"no_huge": 0.95}
+            {}, largest_size_speedups_vs_rebuild={"eptas": 0.95}
         )
         assert check_regressions(data, base, 10.0) == []
 
+    @staticmethod
+    def _two_suites(default_s, obs_s):
+        return {
+            "results": [
+                {"suite": "default", "algorithm": "three_halves",
+                 "n_target": 800, "median_s": default_s},
+                {"suite": "obs", "algorithm": "three_halves",
+                 "n_target": 800, "median_s": obs_s},
+            ]
+        }
 
-def test_cli_bench_suite_kernel(tmp_path, capsys):
-    out = tmp_path / "BENCH_kernel.json"
-    code = main(
-        [
-            "bench",
-            "--suite",
-            "kernel",
-            "--sizes",
-            "30",
-            "--algorithms",
-            "merge_lpt",
-            "class_greedy",
-            "--repeats",
-            "1",
-            "-o",
-            str(out),
+    def test_suites_sharing_a_cell_compare_within_their_suite(self):
+        base = self._two_suites(2.0, 1.0)
+        data = self._two_suites(1.9, 1.05)
+        assert check_regressions(data, base, 10.0) == []
+        annotated = attach_baseline(data, base)
+        assert [c["baseline_median_s"] for c in annotated["results"]] == [
+            2.0,
+            1.0,
         ]
-    )
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "array kernel vs object kernel" in printed
-    data = json.loads(out.read_text())
-    assert data["config"]["suite"] == "kernel"
-    assert set(data["largest_size_speedups_vs_object"]) == {
-        "merge_lpt",
-        "class_greedy",
-    }
+
+    def test_cell_without_suite_reads_as_default(self):
+        base = _fake_bench({("three_halves", 800): 1.0})
+        data = self._two_suites(1.5, 9.0)
+        failures = check_regressions(data, base, 10.0)
+        assert len(failures) == 1
+        assert "+50.0%" in failures[0]
 
 
 def test_cli_bench_fail_on_regression_gate(tmp_path, capsys):
@@ -372,3 +333,18 @@ def test_eptas_suite_attaches_phase_breakdown():
         assert "eptas.classify" in phases
         # The headline phase artifact: % of the solve inside the IP.
         assert 0.0 <= cell["ip_solve_pct"] <= 100.0
+
+
+def test_runner_suite_races_serial_against_sharded():
+    data = run_runner_suite(
+        shard_counts=(2,), instances=3, size=6, repeats=1
+    )
+    assert data["config"]["suite"] == "runner"
+    cells = data["results"]
+    assert [c["backend"] for c in cells] == ["serial", "sharded-2"]
+    for cell in cells:
+        assert cell["valid"], cell.get("error")
+        assert cell["cells"] == 3
+        assert cell["cells_per_sec"] > 0
+    assert cells[0]["speedup_vs_serial"] == 1.0
+    assert cells[1]["speedup_vs_serial"] > 0

@@ -80,6 +80,13 @@ def client(service):
         yield cli
 
 
+@pytest.fixture
+def serial_client(serial_service):
+    host, port = serial_service.address
+    with ServiceClient(host, port, timeout=60.0) as cli:
+        yield cli
+
+
 def _counting(counter):
     """A solver shim that counts invocations and delegates to merge_lpt."""
 
@@ -92,8 +99,9 @@ def _counting(counter):
 
 class TestCacheHitAccounting:
     def test_second_identical_request_performs_zero_solver_calls(
-        self, service, client, fake_algorithm
+        self, serial_client, fake_algorithm
     ):
+        client = serial_client
         counter = {"calls": 0}
         fake_algorithm("_counted", _counting(counter))
         inst = generate("uniform", 3, 8, 0)
@@ -128,8 +136,9 @@ class TestCacheHitAccounting:
         assert outcome.cached and frames == []
 
     def test_distinct_params_are_distinct_cache_entries(
-        self, service, client, fake_algorithm
+        self, serial_client, fake_algorithm
     ):
+        client = serial_client
         counter = {"calls": 0}
 
         def run(instance, epsilon=None, **kwargs):
@@ -152,11 +161,12 @@ class TestCacheHitAccounting:
         fake_algorithm("_counted3", _counting(counter))
         inst = generate("uniform", 3, 8, 3)
         results = tmp_path / "service.jsonl"
-        with SchedulerService(results_path=results) as first:
+        pinned = {"results_path": results, "backend": "serial"}
+        with SchedulerService(**pinned) as first:
             with ServiceClient(*first.address) as cli:
                 cli.solve(inst, "_counted3")
         assert counter["calls"] == 1
-        with SchedulerService(results_path=results) as second:
+        with SchedulerService(**pinned) as second:
             with ServiceClient(*second.address) as cli:
                 outcome = cli.solve(inst, "_counted3")
         assert outcome.cached
@@ -206,8 +216,9 @@ class TestCacheHitAccounting:
 
 class TestBatchingAndBackpressure:
     def _blocked_service(self, tmp_path, fake_algorithm, **kwargs):
-        """A service plus a registered solver that parks the dispatcher
-        until ``release`` is set (started is set once it is running)."""
+        """A serial-backend service plus a registered solver that parks
+        the dispatcher until ``release`` is set (started is set once it
+        is running)."""
         started, release = threading.Event(), threading.Event()
 
         def blocker(instance, **kw):
@@ -218,6 +229,7 @@ class TestBatchingAndBackpressure:
         fake_algorithm("_blocker", blocker)
         svc = SchedulerService(
             results_path=tmp_path / "service.jsonl",
+            backend="serial",
             batch_window_s=0.0,
             **kwargs,
         )
@@ -374,8 +386,9 @@ class TestFailureIsolation:
             client.solve({"jobs": "nope"}, "merge_lpt")
 
     def test_error_records_are_not_cached(
-        self, service, client, fake_algorithm
+        self, serial_client, fake_algorithm
     ):
+        client = serial_client
         attempts = {"calls": 0}
 
         def flaky(instance, **kwargs):

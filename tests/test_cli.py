@@ -348,6 +348,31 @@ class TestSweep:
         assert main(argv) == 0
         assert "0 executed, 2 cached" in capsys.readouterr().out
 
+    def test_sweep_workers_select_sharded(self, tmp_path, capsys):
+        out = tmp_path / "results.jsonl"
+        argv = [
+            "sweep",
+            "--families",
+            "uniform",
+            "--machines",
+            "2",
+            "--seeds",
+            "0",
+            "1",
+            "2",
+            "-a",
+            "merge_lpt",
+            "--workers",
+            "2",
+            "--quiet",
+            "-o",
+            str(out),
+        ]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert "backend=sharded, shards=2" in printed
+        assert len(out.read_text().splitlines()) == 3
+
 
 class TestSweepArgumentValidation:
     """Regression: bad numeric flags used to reach the backends and die
@@ -358,7 +383,6 @@ class TestSweepArgumentValidation:
         [
             (["--shards", "0"], "must be a positive integer"),
             (["--retry-limit", "-1"], "must be a non-negative integer"),
-            (["--prefetch-window", "0"], "must be a positive integer"),
         ],
     )
     def test_bad_values_exit_2_with_clear_error(
@@ -373,7 +397,7 @@ class TestSweepArgumentValidation:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--shards", "x"], ["--retry-limit", "no"], ["--prefetch-window", ""]],
+        [["--shards", "x"], ["--retry-limit", "no"]],
     )
     def test_non_integers_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -18,13 +18,6 @@ drifts, whose serialization loses a field, or whose schedule silently
 violates a class constraint fails here even if its own unit tests still
 pass.  Every registry entry must be covered — the coverage test fails
 when a newly registered algorithm is not added to a corpus group.
-
-The whole corpus runs under **both kernel families**: every test is
-parametrized over ``KERNELS`` and forces the requested family through
-the ``REPRO_KERNEL`` default (:func:`tests.equivalence.forced_kernel`),
-so the structure-of-arrays kernel honors the same contract on the same
-instances — including solvers with no ``kernel=`` parameter of their
-own whose subroutines resolve the kernel internally.
 """
 
 from __future__ import annotations
@@ -39,12 +32,7 @@ from repro.core.errors import InfeasibleError, PreconditionError
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validate import validate_schedule, validation_instance
-from tests.equivalence import forced_kernel
 from tests.strategies import instances, tiny_instances
-
-#: Both dispatch-kernel families; the full differential contract holds
-#: identically under each.
-KERNELS = ("object", "array")
 
 #: Polynomial-time algorithms: safe on the full random corpus.
 FAST_ALGORITHMS = (
@@ -72,12 +60,9 @@ def test_every_registered_algorithm_is_covered():
     )
 
 
-def check_contract(
-    inst: Instance, algorithm: str, kernel: str = "object"
-) -> None:
+def check_contract(inst: Instance, algorithm: str) -> None:
     try:
-        with forced_kernel(kernel):
-            result = solve(inst, algorithm=algorithm)
+        result = solve(inst, algorithm=algorithm)
     except ALLOWED_ERRORS:
         return
 
@@ -114,7 +99,6 @@ def check_contract(
     assert Instance.from_dict(inst.to_dict()) == inst
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("algorithm", FAST_ALGORITHMS)
 @given(inst=instances())
 @settings(
@@ -122,12 +106,11 @@ def check_contract(
     deadline=None,
     suppress_health_check=[HealthCheck.differing_executors],
 )
-def test_differential_fast(algorithm, kernel, inst):
-    check_contract(inst, algorithm, kernel)
+def test_differential_fast(algorithm, inst):
+    check_contract(inst, algorithm)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("algorithm", EXPENSIVE_ALGORITHMS)
 @given(inst=tiny_instances())
 @settings(
@@ -135,30 +118,27 @@ def test_differential_fast(algorithm, kernel, inst):
     deadline=None,
     suppress_health_check=[HealthCheck.differing_executors],
 )
-def test_differential_expensive(algorithm, kernel, inst):
-    check_contract(inst, algorithm, kernel)
+def test_differential_expensive(algorithm, inst):
+    check_contract(inst, algorithm)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize(
     "algorithm", FAST_ALGORITHMS + EXPENSIVE_ALGORITHMS
 )
-def test_differential_empty_instance(algorithm, kernel):
-    check_contract(Instance([], 3), algorithm, kernel)
+def test_differential_empty_instance(algorithm):
+    check_contract(Instance([], 3), algorithm)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("algorithm", FAST_ALGORITHMS)
-def test_differential_single_machine(algorithm, kernel):
+def test_differential_single_machine(algorithm):
     # m = 1: every valid schedule is a permutation; makespan must equal
     # the total size for any work-conserving-or-not schedule ≥ p(J).
     inst = Instance.from_class_sizes([[4, 2], [3], [5, 1]], 1)
     try:
-        with forced_kernel(kernel):
-            result = solve(inst, algorithm=algorithm)
+        result = solve(inst, algorithm=algorithm)
     except ALLOWED_ERRORS:
         return
-    check_contract(inst, algorithm, kernel)
+    check_contract(inst, algorithm)
     assert result.schedule.makespan >= inst.total_size
 
 
@@ -206,32 +186,28 @@ ADVERSARIAL_CORPUS = _adversarial_corpus()
 APPROX_WITH_GUARANTEE = ("five_thirds", "three_halves", "no_huge")
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("algorithm", FAST_ALGORITHMS)
 @pytest.mark.parametrize("shape", sorted(ADVERSARIAL_CORPUS))
-def test_differential_adversarial_shapes(shape, algorithm, kernel):
-    check_contract(ADVERSARIAL_CORPUS[shape], algorithm, kernel)
+def test_differential_adversarial_shapes(shape, algorithm):
+    check_contract(ADVERSARIAL_CORPUS[shape], algorithm)
 
 
 @pytest.mark.parametrize("algorithm", FAST_ALGORITHMS)
 @pytest.mark.parametrize("shape", sorted(ADVERSARIAL_CORPUS))
 def test_traced_counters_match_step_shims(shape, algorithm):
     """The obs-promoted kernel counters equal the counting-shim
-    counters bit for bit, identically under both kernel families."""
+    counters bit for bit."""
     from tests.equivalence import assert_traced_counters_match
 
     assert_traced_counters_match(ADVERSARIAL_CORPUS[shape], algorithm)
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("algorithm", APPROX_WITH_GUARANTEE)
 @pytest.mark.parametrize("shape", sorted(ADVERSARIAL_CORPUS))
-def test_adversarial_guarantees_on_kernel_and_reference(
-    shape, algorithm, impl
-):
-    """On every adversarial cell, the kernel (each family) and the
-    preserved reference make identical decisions and both honor the
-    claimed guarantee."""
+def test_adversarial_guarantees_on_kernel_and_reference(shape, algorithm):
+    """On every adversarial cell, the kernel and the preserved
+    reference make identical decisions and both honor the claimed
+    guarantee."""
     from fractions import Fraction
 
     from tests.equivalence import (
@@ -242,7 +218,7 @@ def test_adversarial_guarantees_on_kernel_and_reference(
 
     inst = ADVERSARIAL_CORPUS[shape]
     kernel = run_and_capture(
-        lambda i: solve(i, algorithm=algorithm, kernel=impl), inst
+        lambda i: solve(i, algorithm=algorithm), inst
     )
     reference = run_and_capture(EQUIVALENCE_PAIRS[algorithm], inst)
     assert_same_outcome(kernel, reference, context=f"{algorithm}/{shape}")
@@ -257,22 +233,18 @@ def test_adversarial_guarantees_on_kernel_and_reference(
         ), f"{algorithm} violated its guarantee on {shape}"
 
 
-def test_adversarial_reservation_conflict_rejected_by_both_kernels():
+def test_adversarial_reservation_conflict_rejected():
     """A conflicting reservation sequence — the shape the split lemmas
-    promise never happens, i.e. an algorithm bug — is rejected by both
-    kernel families with the same error and the same surviving state."""
-    from repro.core.arraykernel import ArrayClassReservations
+    promise never happens, i.e. an algorithm bug — is rejected, and the
+    innocent class keeps exactly its own interval."""
     from repro.core.dispatch import ClassReservations
     from repro.core.errors import InvalidScheduleError
 
-    def drive(cls):
-        res = cls((1, 2))
-        res.reserve(1, 0, 7)
-        res.reserve(2, 0, 7)  # other class: no cross-class conflict
-        res.reserve(1, 10, 20)
-        res.reserve(1, 15, 25)  # queued conflict inside class 1
-        with pytest.raises(InvalidScheduleError):
-            res.flush()
-        return res.of(2).intervals()
-
-    assert drive(ClassReservations) == drive(ArrayClassReservations)
+    res = ClassReservations((1, 2))
+    res.reserve(1, 0, 7)
+    res.reserve(2, 0, 7)  # other class: no cross-class conflict
+    res.reserve(1, 10, 20)
+    res.reserve(1, 15, 25)  # queued conflict inside class 1
+    with pytest.raises(InvalidScheduleError):
+        res.flush()
+    assert res.of(2).intervals() == [(0, 7)]
