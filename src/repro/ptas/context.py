@@ -14,21 +14,26 @@ guess-independent once per solve:
 * a **window-IP outcome memo** keyed by the rounded instance's
   *signature* ``(L, m, per-class demands)`` — feasibility of the window
   IP depends on nothing else, so two guesses with equal signatures share
-  one solve (and one verdict), which is what collapses the binary
-  search's IP bill from ``O(log range)`` solves to the number of
-  *distinct* rounded instances;
-* a :class:`~repro.ptas.ip.WindowIPSkeleton` of per-class constraint
-  blocks for the MILP backend, and the most recent feasible assignment
-  as a branch-order ``hint`` for the backtracking backend.
+  one verdict;
+* the most recent feasible assignment as a branch-order ``hint`` for
+  the backtracking backend.
 
-Canonicality: the MILP path always assembles the identical matrix (with
-or without the skeleton) and the signature fully determines it, so every
-MILP-derived assignment equals what a cold solve would return.  A
-*hinted* backtracking solve may return a different feasible assignment,
-so its bundles are marked non-canonical and
-:meth:`GuessContext.finalize` re-solves the winning guess cold — the
-realized schedule is therefore bit-for-bit the rebuild-per-guess
-driver's (:mod:`repro.algorithms.reference.eptas_rebuild`), which the
+On the MILP backend a fresh signature is decided in two steps: the
+greedy pack (:func:`~repro.ptas.ip.greedy_pack`, an ``eptas.pack``
+span) accepts the guess when its assignment passes
+:func:`~repro.ptas.ip.assignment_satisfies`; otherwise HiGHS gives the
+verdict with ``compress=False`` (an ``eptas.ip_solve`` span).  The
+binary search only needs verdicts, so the compressed objective — the
+expensive part of a HiGHS solve — is paid once per solve, in
+:meth:`GuessContext.finalize`.
+
+Canonicality: a packed, uncompressed or *hinted* backtracking
+assignment may differ from what a cold solve returns, so such bundles
+are marked non-canonical and :meth:`GuessContext.finalize` re-solves
+the winning guess cold (``compress=True`` on the MILP backend).  Every
+verdict is exact, so the search visits the same guesses as the
+rebuild-per-guess driver (:mod:`repro.algorithms.reference.eptas_rebuild`)
+and the realized schedule is bit-for-bit its schedule, which the
 equivalence harness asserts.
 """
 
@@ -43,11 +48,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.errors import InfeasibleError
 from repro.core.instance import Instance, Job
 from repro.obs import get_tracer
+from repro.ptas import ip
 from repro.ptas.ip import (
     _HAVE_MILP,
     WindowAssignment,
-    WindowIPSkeleton,
     assignment_satisfies,
+    greedy_pack,
     solve_window_ip,
 )
 from repro.ptas.layers import RoundedInstance, round_instance
@@ -186,7 +192,6 @@ class GuessContext:
         self.ip_backend = ip_backend
         self.max_layers = max_layers
         self.profile = InstanceProfile(instance)
-        self.skeleton = WindowIPSkeleton()
         #: Guess value → decided bundle (``None`` = infeasible); the
         #: binary search never pays for the same ``T`` twice.
         self.decided: Dict[int, Optional[GuessBundle]] = {}
@@ -198,6 +203,7 @@ class GuessContext:
             "guesses": 0,
             "guess_memo_hits": 0,
             "signature_hits": 0,
+            "pack_accepts": 0,
             "ip_solves": 0,
             "hinted_solves": 0,
             "final_resolves": 0,
@@ -262,32 +268,16 @@ class GuessContext:
                 canonical=canonical,
             )
 
-        hinted = self._resolved_backend() == "backtracking" and (
-            self._warm is not None
+        decide = (
+            self._decide_milp
+            if self._resolved_backend() == "milp"
+            else self._decide_backtracking
         )
-        self.counters["ip_solves"] += 1
-        if hinted:
-            self.counters["hinted_solves"] += 1
         try:
-            with tracer.span(
-                "eptas.ip_solve",
-                T=T,
-                layers=rounded.grid.num_layers,
-                hinted=hinted,
-            ):
-                assignment = solve_window_ip(
-                    rounded,
-                    backend=self.ip_backend,
-                    hint=self._warm,
-                    skeleton=self.skeleton,
-                )
+            assignment, canonical = decide(rounded, T)
         except InfeasibleError:
             self._outcomes[signature] = (None, True)
             return None
-        # A hinted backtracking solve may find a non-canonical (still
-        # feasible) assignment; the MILP matrix is signature-determined,
-        # so its solves are always canonical.
-        canonical = not hinted
         self._outcomes[signature] = (assignment, canonical)
         self._warm = assignment
         return GuessBundle(
@@ -299,12 +289,60 @@ class GuessContext:
             canonical=canonical,
         )
 
+    def _decide_milp(
+        self, rounded: RoundedInstance, T: int
+    ) -> Tuple[WindowAssignment, bool]:
+        """A certified greedy pack, else the uncompressed HiGHS verdict
+        (raises :class:`InfeasibleError`).  Either assignment is
+        non-canonical: :meth:`finalize` re-solves the winner compressed."""
+        tracer = get_tracer()
+        layers = rounded.grid.num_layers
+        with tracer.span("eptas.pack", T=T, layers=layers):
+            packed = greedy_pack(rounded)
+            certified = packed is not None and assignment_satisfies(
+                rounded, packed
+            )
+        if certified:
+            self.counters["pack_accepts"] += 1
+            return packed, False
+        self.counters["ip_solves"] += 1
+        with tracer.span("eptas.ip_solve", T=T, layers=layers):
+            # Looked up on the module at call time, so a wrapper
+            # installed on ``ip.solve_window_ip_milp`` sees every call.
+            return ip.solve_window_ip_milp(rounded, compress=False), False
+
+    def _decide_backtracking(
+        self, rounded: RoundedInstance, T: int
+    ) -> Tuple[WindowAssignment, bool]:
+        """A backtracking verdict, hinted by the last feasible assignment.
+
+        No pack here: on this backend :class:`InfeasibleError` also means
+        "node budget exhausted", so a certified pack could accept a guess
+        that the rebuild reference rejects.  A hinted solve may find a
+        non-canonical (still feasible) assignment.
+        """
+        hinted = self._warm is not None
+        self.counters["ip_solves"] += 1
+        if hinted:
+            self.counters["hinted_solves"] += 1
+        with get_tracer().span(
+            "eptas.ip_solve",
+            T=T,
+            layers=rounded.grid.num_layers,
+            hinted=hinted,
+        ):
+            assignment = solve_window_ip(
+                rounded, backend=self.ip_backend, hint=self._warm
+            )
+        return assignment, not hinted
+
     def finalize(self, bundle: GuessBundle) -> GuessBundle:
         """Make the winning bundle canonical before realization.
 
-        Intermediate guesses only need feasibility *verdicts*, so warm
-        starts may return any feasible assignment; the schedule the
-        driver realizes must be the cold solve's.  Re-solves hint-free
+        Intermediate guesses only need feasibility *verdicts*, so the
+        pack, uncompressed HiGHS and warm starts may return any feasible
+        assignment; the schedule the driver realizes must be the cold
+        solve's.  Re-solves hint-free (compressed, on the MILP backend)
         when (and only when) the bundle is non-canonical.
         """
         if bundle.canonical:
@@ -314,8 +352,7 @@ class GuessContext:
             "eptas.ip_solve", T=bundle.T, final_resolve=True
         ):
             assignment = solve_window_ip(
-                bundle.rounded, backend=self.ip_backend,
-                skeleton=self.skeleton,
+                bundle.rounded, backend=self.ip_backend
             )
         self._outcomes[rounded_signature(bundle.rounded)] = (assignment, True)
         self._warm = assignment
@@ -330,8 +367,5 @@ class GuessContext:
         return self.ip_backend
 
     def stats(self) -> Dict[str, int]:
-        """Counters plus skeleton cache hits, for the result's stats."""
-        out = dict(self.counters)
-        out["skeleton_hits"] = self.skeleton.hits
-        out["skeleton_misses"] = self.skeleton.misses
-        return out
+        """A copy of the counters, for the result's stats."""
+        return dict(self.counters)

@@ -10,9 +10,10 @@ makespan ``(1 + O(ε)) · T* ≤ (1 + O(ε)) · OPT``.
 
 The search is *incremental* (:mod:`repro.ptas.context`): one
 :class:`~repro.ptas.context.GuessContext` per solve caches the sorted
-instance profile, the per-class IP constraint blocks, and — decisively —
-the window-IP verdict per rounded-instance signature, so guesses whose
-rounded instances coincide share a single IP solve.  The schedule is
+instance profile and the window-IP verdict per rounded-instance
+signature, and decides each fresh signature with a certified greedy
+pack before it asks HiGHS; only the realized guess pays for the
+compressed window IP.  The schedule is
 identical to deciding every guess from scratch (the preserved
 rebuild-per-guess driver,
 :mod:`repro.algorithms.reference.eptas_rebuild`, is the equivalence
@@ -174,9 +175,10 @@ def schedule_eptas(
                 else:
                     lo = mid
 
-            # Warm-started verdicts are exact, but a hinted assignment
-            # may differ from the cold solve's; realize the canonical
-            # one so the schedule is bit-for-bit the rebuild driver's.
+            # Every verdict is exact, but a packed, uncompressed or
+            # hinted assignment may differ from the cold solve's; realize
+            # the canonical one so the schedule is bit-for-bit the
+            # rebuild driver's.
             bundle = ctx.finalize(bundle)
 
         with tracer.span("eptas.reinsert", T=bundle.T):

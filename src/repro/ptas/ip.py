@@ -16,8 +16,10 @@ multiset exist *iff* every layer is covered at most ``m`` times.  Hence:
 Feasibility is decided exactly — by HiGHS branch & bound
 (``scipy.optimize.milp``), substituting for the paper's N-fold solver, or by
 a pure-Python backtracking search used for cross-checks and environments
-without SciPy.  The machine patterns are recovered afterwards by greedy
-interval coloring (:mod:`repro.ptas.coloring`).
+without SciPy.  A longest-first greedy pack (:func:`greedy_pack`) is an
+incomplete but fast certificate of feasibility, checked by
+:func:`assignment_satisfies`.  The machine patterns are recovered
+afterwards by greedy interval coloring (:mod:`repro.ptas.coloring`).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ except ImportError:  # pragma: no cover - scipy present in CI
 __all__ = [
     "Window",
     "WindowAssignment",
-    "WindowIPSkeleton",
     "assignment_satisfies",
+    "greedy_pack",
     "solve_window_ip",
     "solve_window_ip_milp",
     "solve_window_ip_backtracking",
@@ -122,16 +124,66 @@ def assignment_satisfies(
     return True
 
 
+def greedy_pack(rounded: RoundedInstance) -> Optional[WindowAssignment]:
+    """A constructive window assignment, or ``None`` when the pack fails.
+
+    Places windows longest first (ties: the class with more total units
+    first, then the lower class id), each at the leftmost start where
+    every layer it covers has capacity left and its class is free.  The
+    scan restarts just past a blocking layer, so one window costs
+    ``O(L)``.  Returns ``None`` at the first window with no start.
+
+    The pack is incomplete: ``None`` decides nothing, while a returned
+    assignment that passes :func:`assignment_satisfies` certifies the
+    guess feasible without a solver call.
+    """
+    L = rounded.grid.num_layers
+    capacity = [rounded.num_machines] * L
+    busy = {cid: [False] * L for cid in rounded.unit_counts}
+    total = {
+        cid: sum(u * n for u, n in counts.items())
+        for cid, counts in rounded.unit_counts.items()
+    }
+    order = sorted(
+        (
+            (u, cid)
+            for cid, counts in rounded.unit_counts.items()
+            for u, n in counts.items()
+            for _ in range(n)
+        ),
+        key=lambda window: (-window[0], -total[window[1]], window[1]),
+    )
+    assignment = WindowAssignment()
+    for u, cid in order:
+        class_busy = busy[cid]
+        free_run = 0
+        for layer in range(L):
+            if capacity[layer] and not class_busy[layer]:
+                free_run += 1
+                if free_run == u:
+                    break
+            else:
+                free_run = 0
+        else:
+            return None
+        start = layer - u + 1
+        for covered in range(start, layer + 1):
+            capacity[covered] -= 1
+            class_busy[covered] = True
+        assignment.windows.setdefault(cid, []).append((start, u))
+    for wins in assignment.windows.values():
+        wins.sort()
+    return assignment
+
+
 class _ClassBlock:
     """The constraint-matrix contribution of one class, in local indices.
 
     Depends only on the class's ``{u: count}`` demand and the horizon
-    ``L`` — not on the class id, the guess ``T`` or the machine count —
-    so it is the guess-independent "skeleton" piece the incremental
-    EPTAS caches across binary-search guesses.  Local variables are
-    ordered ``(u ascending, start ascending)``, the exact enumeration
-    order of the historical from-scratch build, so assembling blocks in
-    sorted-class order reproduces the old matrix entry for entry.
+    ``L``.  Local variables are ordered ``(u ascending, start
+    ascending)``, the exact enumeration order of the historical
+    from-scratch build, so assembling blocks in sorted-class order
+    reproduces the old matrix entry for entry.
     """
 
     __slots__ = ("nvar", "keys", "eq_rows", "cover", "hi", "obj", "bad_u")
@@ -164,50 +216,21 @@ class _ClassBlock:
                     self.cover[layer].append(local)
 
 
-class WindowIPSkeleton:
-    """Cross-guess cache of :class:`_ClassBlock` structures.
-
-    Keyed by ``(sorted counts, L)``: between binary-search guesses most
-    classes keep their window demands (the layer count ``L`` depends
-    only on ``ε`` and ``δ``, and ``⌈p/g⌉`` moves only when the guess
-    crosses a rounding boundary), so the MILP rebuild touches freshly
-    changed classes only and re-offsets the cached rows for the rest.
-    """
-
-    def __init__(self) -> None:
-        self._blocks: Dict[Tuple[Tuple[Tuple[int, int], ...], int], _ClassBlock] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def class_block(self, counts: Mapping[int, int], L: int) -> _ClassBlock:
-        key = (tuple(sorted(counts.items())), L)
-        block = self._blocks.get(key)
-        if block is None:
-            self.misses += 1
-            block = _ClassBlock(counts, L)
-            self._blocks[key] = block
-        else:
-            self.hits += 1
-        return block
-
-
 def solve_window_ip_milp(
     rounded: RoundedInstance,
     *,
     compress: bool = True,
-    skeleton: Optional[WindowIPSkeleton] = None,
 ) -> WindowAssignment:
     """Exact feasibility via HiGHS; raises :class:`InfeasibleError`.
 
     ``compress=True`` (default) minimizes the total window completion
     ``Σ(ℓ+u)·y`` so the layered schedule packs toward time zero;
-    ``compress=False`` reproduces the paper's pure feasibility problem
-    (the ablation benchmark measures the difference).
-
-    ``skeleton`` reuses per-class constraint blocks across calls (the
-    incremental EPTAS passes one per solve).  The assembled matrix is
-    identical with or without it — blocks only cache the enumeration —
-    so warm and cold solves return the same assignment.
+    ``compress=False`` reproduces the paper's pure feasibility problem,
+    which HiGHS decides far faster than it proves the compressed
+    optimum.  The incremental EPTAS (:mod:`repro.ptas.context`) decides
+    its search guesses with ``compress=False`` (after
+    :func:`greedy_pack`) and calls ``compress=True`` once per solve, for
+    the guess whose schedule it realizes.
     """
     if not _HAVE_MILP:  # pragma: no cover
         raise PreconditionError("scipy.optimize.milp unavailable")
@@ -221,11 +244,7 @@ def solve_window_ip_milp(
     blocks: List[Tuple[int, Dict[int, int], _ClassBlock, int]] = []
     nvar = 0
     for cid, counts in sorted(rounded.unit_counts.items()):
-        block = (
-            skeleton.class_block(counts, L)
-            if skeleton is not None
-            else _ClassBlock(counts, L)
-        )
+        block = _ClassBlock(counts, L)
         if block.bad_u is not None:
             raise InfeasibleError(
                 f"class {cid}: window of {block.bad_u} layers exceeds "
@@ -424,20 +443,18 @@ def solve_window_ip(
     *,
     backend: str = "auto",
     hint: Optional[WindowAssignment] = None,
-    skeleton: Optional[WindowIPSkeleton] = None,
 ) -> WindowAssignment:
     """Dispatch to a backend (``"milp"``, ``"backtracking"``, ``"auto"``).
 
     ``hint`` warm-starts the backtracking backend (branch reorder only);
-    ``skeleton`` reuses cached constraint blocks in the MILP backend.
-    Each is ignored by the other backend, so callers can pass both.
+    the MILP backend ignores it, so callers can pass it either way.
     """
     if backend == "milp":
-        return solve_window_ip_milp(rounded, skeleton=skeleton)
+        return solve_window_ip_milp(rounded)
     if backend == "backtracking":
         return solve_window_ip_backtracking(rounded, hint=hint)
     if backend == "auto":
         if _HAVE_MILP:
-            return solve_window_ip_milp(rounded, skeleton=skeleton)
+            return solve_window_ip_milp(rounded)
         return solve_window_ip_backtracking(rounded, hint=hint)  # pragma: no cover
     raise PreconditionError(f"unknown IP backend {backend!r}")

@@ -28,15 +28,17 @@ alongside and asserting identical makespans per cell.
 comparing cell medians and the headline ``largest_size_speedups*`` maps
 against a baseline-of-record within a percent tolerance
 (``repro bench --fail-on-regression PCT``).  Cells are matched by
-``(suite, algorithm, n_target)``, so two suites that time the same
-algorithm at the same size never compare against each other.
+``(suite, algorithm, n_target, epsilon)``, so two suites that time the
+same algorithm at the same size never compare against each other, nor
+do two eptas cells that differ only in ``ε``.
 
 ``run_eptas_suite`` races the incremental EPTAS driver (warm-started
 :class:`~repro.ptas.context.GuessContext`: signature-memoized window-IP
-outcomes, cached constraint blocks, profile-based parameter bands)
-against the preserved rebuild-per-guess reference on small instances
-with order-balanced paired timing, asserting identical makespans per
-cell and recording ``speedup_vs_rebuild``.  Each cell additionally
+outcomes, certified greedy packs, profile-based parameter bands)
+against the preserved rebuild-per-guess reference on small instances,
+each cell at its own ``ε``, with order-balanced paired timing,
+asserting identical makespans per cell and recording
+``speedup_vs_rebuild``.  Each cell additionally
 carries a per-phase wall-clock breakdown (``phase_s`` /
 ``ip_solve_pct``) from one extra *untimed* solve under an enabled
 tracer — "% time in the window IP (HiGHS)" becomes a recorded artifact
@@ -143,19 +145,18 @@ APPROX_NAIVE_CUTOFF = 16_000
 #: The EPTAS incremental-vs-rebuild grid (``--suite eptas``): small
 #: instances (the scheme is exponential in 1/(εδ); these are the largest
 #: cells on which the rebuild-per-guess reference stays tractable at
-#: bench repeats).  ``size`` is the class-count knob.  The ``small_jobs``
-#: cells are where guess reuse pays: small sizes round onto coarse unit
-#: grids whose signatures plateau across adjacent makespan guesses, so
-#: the signature memo collapses several window-IP solves into one —
-#: HiGHS dominates wall time, and a skipped solve is the only large win.
-#: ε=1/2 keeps δ (and hence the grid g=εδT) coarse enough to plateau.
+#: bench repeats).  ``size`` is the class-count knob.  The ε = 1/2 cells
+#: keep δ (and hence the grid g=εδT) coarse; the ε = 2/5 cell is the
+#: default-ε solve (the first ``eptas-default`` perfbench instance),
+#: where the rebuild reference pays the compressed window IP at every
+#: guess and the incremental driver pays it once.
 EPTAS_BENCH_CELLS = (
-    # (family, machines, size, seed)
-    ("uniform", 2, 6, 0),
-    ("small_jobs", 2, 8, 0),
-    ("small_jobs", 3, 12, 0),
+    # (family, machines, size, seed, epsilon)
+    ("uniform", 2, 6, 0, "1/2"),
+    ("small_jobs", 2, 8, 0, "1/2"),
+    ("small_jobs", 3, 12, 0, "1/2"),
+    ("small_jobs", 2, 8, 0, "2/5"),
 )
-EPTAS_BENCH_EPSILON = "1/2"
 EPTAS_BENCH_MODE = "augmentation"
 
 #: The observability smoke cell (``--suite obs``): one mid-size
@@ -517,25 +518,26 @@ def _attach_eptas_phases(cell: dict, solve_once) -> None:
 def run_eptas_suite(
     *,
     cells: Sequence[tuple] = EPTAS_BENCH_CELLS,
-    epsilon: str = EPTAS_BENCH_EPSILON,
     mode: str = EPTAS_BENCH_MODE,
     repeats: int = 3,
     validate: bool = True,
 ) -> dict:
     """The EPTAS incremental-vs-rebuild grid (``--suite eptas``).
 
-    Every cell solves the same fresh instances with the incremental
-    driver (warm-started :class:`~repro.ptas.context.GuessContext`) and
-    the preserved rebuild-per-guess reference
+    Each cell is ``(family, machines, size, seed, epsilon)`` with ``ε``
+    as a fraction string.  Every cell solves the same fresh instances
+    with the incremental driver (warm-started
+    :class:`~repro.ptas.context.GuessContext`) and the preserved
+    rebuild-per-guess reference
     (:func:`repro.algorithms.reference.reference_eptas`), recording both
     medians plus ``speedup_vs_rebuild = rebuild_median_s / median_s``
     (> 1 means the incremental driver is faster).  Measurement is
     *order-balanced*: each repeat alternates which driver runs first.
     Makespans are asserted identical per cell — the incremental
-    search's reuse (signature-memoized IP outcomes, cached
-    constraint blocks, profile-based bands) must never change the
-    schedule — and augmentation-mode schedules validate against the
-    augmented instance.
+    search's reuse (signature-memoized IP outcomes, certified greedy
+    packs, profile-based bands) must never change the schedule — and
+    augmentation-mode schedules validate against the augmented
+    instance.
 
     After the timed repeats, one extra solve per cell runs under an
     enabled tracer (outside any timing window) and its ``eptas.*`` span
@@ -547,9 +549,9 @@ def run_eptas_suite(
     from repro.algorithms.reference import reference_eptas
     from repro.ptas import augmented_instance, schedule_eptas
 
-    eps = Fraction(epsilon)
     results: List[dict] = []
-    for family, machines, size, seed in cells:
+    for family, machines, size, seed, epsilon in cells:
+        eps = Fraction(epsilon)
         instance = generate(family, machines, size, seed)
         t_inc: List[float] = []
         t_rebuild: List[float] = []
@@ -624,7 +626,6 @@ def run_eptas_suite(
         "config": {
             "suite": "eptas",
             "cells": [list(cell) for cell in cells],
-            "epsilon": epsilon,
             "mode": mode,
             "repeats": repeats,
         },
@@ -865,9 +866,15 @@ def load_bench_json(path) -> dict:
 
 def _cell_id(cell: Mapping) -> tuple:
     """Identity of a bench cell across runs.  Suites may time the same
-    algorithm at the same size; a cell without a ``suite`` (artifacts
-    older than the field) belongs to ``default``."""
-    return (cell.get("suite", "default"), cell["algorithm"], cell["n_target"])
+    algorithm at the same size, and the eptas suite the same size at
+    two ``epsilon`` values; a cell without a ``suite`` (artifacts older
+    than the field) belongs to ``default``."""
+    return (
+        cell.get("suite", "default"),
+        cell["algorithm"],
+        cell["n_target"],
+        cell.get("epsilon"),
+    )
 
 
 def _index(results: Sequence[Mapping]) -> Dict[tuple, Mapping]:
@@ -970,8 +977,12 @@ def check_regressions(
             continue
         if cell["median_s"] > ref["median_s"] * tol:
             slower = 100.0 * (cell["median_s"] / ref["median_s"] - 1.0)
+            epsilon = (
+                f", epsilon={cell['epsilon']}" if "epsilon" in cell else ""
+            )
             failures.append(
-                f"{cell['algorithm']} @ n_target={cell['n_target']}: "
+                f"{cell['algorithm']} @ n_target={cell['n_target']}"
+                f"{epsilon}: "
                 f"median {cell['median_s'] * 1e3:.2f} ms vs baseline "
                 f"{ref['median_s'] * 1e3:.2f} ms (+{slower:.1f}%, "
                 f"tolerance {pct:.1f}%)"

@@ -21,6 +21,7 @@ from repro.obs import (
     trace_scope,
     write_chrome_trace,
 )
+from repro.ptas.ip import _HAVE_MILP
 from repro.workloads import generate
 
 
@@ -97,7 +98,10 @@ class TestChromeExport:
 
     def test_eptas_solve_shows_per_guess_ip_spans(self, tmp_path):
         # The acceptance criterion: a Chrome export of an EPTAS solve
-        # contains the per-guess window-IP spans.
+        # contains the per-guess decision spans.  On the MILP backend
+        # the greedy pack decides the guesses and ``eptas.ip_solve`` is
+        # the compressed finalize; on backtracking every guess is an
+        # ``eptas.ip_solve``.
         inst = generate("small_jobs", 2, 8, 0)
         path = tmp_path / "eptas.trace.jsonl"
         with trace_scope(path):
@@ -111,6 +115,8 @@ class TestChromeExport:
         _validate_chrome_schema(doc)
         names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
         assert "eptas.ip_solve" in names
+        if _HAVE_MILP:
+            assert "eptas.pack" in names
         assert "eptas.classify" in names
         assert "eptas.solve" in names
 

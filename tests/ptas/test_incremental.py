@@ -5,9 +5,10 @@ Three layers:
 * the :class:`~repro.ptas.context.InstanceProfile` bisection views must
   answer the parameter-band and class-split queries *identically* to the
   full scans they replace;
-* the warm-start plumbing — hint-ordered backtracking, the MILP
-  constraint-block skeleton, the signature memo — must never change a
-  solver verdict or the final (canonical) assignment;
+* the warm-start plumbing — hint-ordered backtracking, the certified
+  greedy pack, the uncompressed HiGHS verdicts, the signature memo —
+  must never change a solver verdict or the final (canonical)
+  assignment;
 * the full incremental driver must be bit-for-bit the preserved
   rebuild-per-guess reference on whole solves (the equivalence-harness
   contract), with the augmentation mode validated against the augmented
@@ -15,6 +16,7 @@ Three layers:
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from hypothesis import given, settings
 from repro.core.bounds import lower_bound_int
 from repro.core.errors import InfeasibleError
 from repro.core.validate import validate_schedule
+from repro.ptas import context as context_module
+from repro.ptas import ip as ip_module
 from repro.ptas.context import (
     GuessContext,
     InstanceProfile,
@@ -33,11 +37,10 @@ from repro.ptas.eptas import (
     schedule_eptas,
 )
 from repro.ptas.ip import (
-    WindowIPSkeleton,
     assignment_satisfies,
+    greedy_pack,
     solve_window_ip,
     solve_window_ip_backtracking,
-    solve_window_ip_milp,
 )
 from repro.ptas.layers import round_instance
 from repro.ptas.params import _class_band, choose_params, job_band
@@ -47,6 +50,13 @@ from tests.markers import needs_milp
 from tests.strategies import instances
 
 EPS = Fraction(1, 2)
+#: The incremental-vs-rebuild and pack tests run at ε = 1/2 and at the
+#: default ε = 2/5.
+EPSILONS = [Fraction(1, 2), Fraction(2, 5)]
+
+
+def _epsilon_id(eps):
+    return f"epsilon={eps}"
 
 
 def _guess_range(inst):
@@ -210,35 +220,6 @@ class TestWarmStartedSolvers:
                 assert assignment_satisfies(rounded, warm.result)
                 hint = warm.result
 
-    @needs_milp
-    @given(instances(max_machines=3, max_classes=5, max_size=10))
-    @settings(max_examples=10, deadline=None)
-    def test_skeleton_milp_identical_to_cold(self, inst):
-        """The block-assembled MILP matrix is identical with and without
-        the skeleton cache, so the solver returns the same assignment."""
-        if not inst.num_jobs:
-            return
-        skeleton = WindowIPSkeleton()
-        for T in _guess_range(inst):
-            try:
-                rounded = _rounded_at(inst, T)
-            except InfeasibleError:
-                continue
-            cold = run_and_capture(
-                lambda _i: solve_window_ip_milp(rounded), inst
-            )
-            warm = run_and_capture(
-                lambda _i: solve_window_ip_milp(
-                    rounded, skeleton=skeleton
-                ),
-                inst,
-            )
-            assert cold.raised == warm.raised
-            if not cold.raised:
-                assert cold.result.windows == warm.result.windows
-        if skeleton.misses:
-            assert skeleton.hits + skeleton.misses > 0
-
 
 class TestGuessContext:
     def _ctx(self, inst, backend="backtracking"):
@@ -330,38 +311,107 @@ class TestGuessContext:
         assert ctx.finalize(final) is final
 
 
+class TestGreedyPack:
+    @pytest.mark.parametrize("eps", EPSILONS, ids=_epsilon_id)
+    @given(inst=instances(max_machines=4, max_classes=6, max_size=15))
+    @settings(max_examples=25, deadline=None)
+    def test_every_pack_is_certified(self, inst, eps):
+        """A returned pack is a feasible assignment of the IP it packed."""
+        if not inst.num_jobs:
+            return
+        for T in _guess_range(inst):
+            try:
+                rounded = _rounded_at(inst, T, eps)
+            except InfeasibleError:
+                continue
+            packed = greedy_pack(rounded)
+            if packed is not None:
+                assert assignment_satisfies(rounded, packed)
+
+
+def _agrees_with_rebuild(inst, mode, eps, backend):
+    """Solve with the incremental driver and the rebuild reference;
+    require identical outcomes and return the incremental one."""
+    from repro.algorithms.reference import reference_eptas
+
+    incremental = run_and_capture(
+        lambda i: schedule_eptas(
+            i, epsilon=eps, mode=mode, ip_backend=backend
+        ),
+        inst,
+    )
+    rebuild = run_and_capture(
+        lambda i: reference_eptas(
+            i, epsilon=eps, mode=mode, ip_backend=backend
+        ),
+        inst,
+    )
+    assert_same_outcome(
+        incremental, rebuild, context=f"eptas[{mode}, {eps}, {backend}]"
+    )
+    if not incremental.raised and mode == "augmentation":
+        result = incremental.result
+        validate_schedule(
+            augmented_instance(
+                inst, result.stats.get("extra_machines", 0)
+            ),
+            result.schedule,
+        )
+    return incremental
+
+
 class TestIncrementalVsRebuild:
     """Whole-solve equivalence against the preserved rebuild driver."""
 
+    @pytest.mark.parametrize(
+        "backend", ["backtracking", pytest.param("milp", marks=needs_milp)]
+    )
+    @pytest.mark.parametrize("eps", EPSILONS, ids=_epsilon_id)
     @pytest.mark.parametrize("mode", ["augmentation", "fixed_m"])
     @given(inst=instances(max_machines=3, max_classes=5, max_size=10))
     @settings(max_examples=10, deadline=None)
-    def test_agrees_across_guess_sequences(self, inst, mode):
-        from repro.algorithms.reference import reference_eptas
+    def test_agrees_across_guess_sequences(self, inst, mode, eps, backend):
+        _agrees_with_rebuild(inst, mode, eps, backend)
 
-        incremental = run_and_capture(
-            lambda i: schedule_eptas(
-                i, epsilon=EPS, mode=mode, ip_backend="backtracking"
-            ),
-            inst,
+    @needs_milp
+    @pytest.mark.parametrize("eps", EPSILONS, ids=_epsilon_id)
+    @pytest.mark.parametrize("mode", ["augmentation", "fixed_m"])
+    @given(inst=instances(max_machines=3, max_classes=5, max_size=10))
+    @settings(max_examples=10, deadline=None)
+    def test_uncompressed_verdicts_agree_without_pack(self, inst, mode, eps):
+        """With the pack disabled every fresh guess is decided by an
+        uncompressed HiGHS verdict; the search still matches."""
+        with mock.patch.object(
+            context_module, "greedy_pack", lambda rounded: None
+        ):
+            outcome = _agrees_with_rebuild(inst, mode, eps, "milp")
+        if not outcome.raised and "incremental" in outcome.result.stats:
+            assert outcome.result.stats["incremental"]["pack_accepts"] == 0
+
+    @needs_milp
+    def test_packed_solve_calls_highs_once_compressed(self, monkeypatch):
+        from repro.core.instance import Instance
+
+        inst = Instance.from_class_sizes(
+            [[5, 3], [4, 4], [6], [2, 2, 2], [3, 3]], 3
         )
-        rebuild = run_and_capture(
-            lambda i: reference_eptas(
-                i, epsilon=EPS, mode=mode, ip_backend="backtracking"
-            ),
-            inst,
+        calls = []
+        real = ip_module.solve_window_ip_milp
+
+        def counting(rounded, *, compress=True):
+            calls.append(compress)
+            return real(rounded, compress=compress)
+
+        monkeypatch.setattr(ip_module, "solve_window_ip_milp", counting)
+        result = schedule_eptas(inst, epsilon=EPS, ip_backend="milp")
+        counters = result.stats["incremental"]
+        assert counters["guesses"] >= 2
+        assert counters["pack_accepts"] == (
+            counters["guesses"] - counters["signature_hits"]
         )
-        assert_same_outcome(
-            incremental, rebuild, context=f"eptas[{mode}]"
-        )
-        if not incremental.raised and mode == "augmentation":
-            result = incremental.result
-            validate_schedule(
-                augmented_instance(
-                    inst, result.stats.get("extra_machines", 0)
-                ),
-                result.schedule,
-            )
+        assert counters["ip_solves"] == 0
+        assert counters["final_resolves"] == 1
+        assert calls == [True]
 
     def test_incremental_counters_reported(self):
         from repro.core.instance import Instance
@@ -375,4 +425,5 @@ class TestIncrementalVsRebuild:
         counters = result.stats["incremental"]
         assert counters["guesses"] >= 1
         assert counters["ip_solves"] <= counters["guesses"]
-        assert "skeleton_hits" in counters
+        # The pack runs on the MILP backend only.
+        assert counters["pack_accepts"] == 0

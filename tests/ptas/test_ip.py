@@ -9,6 +9,8 @@ from repro.core.bounds import lower_bound_int
 from repro.core.errors import InfeasibleError
 from repro.core.instance import Instance
 from repro.ptas.ip import (
+    assignment_satisfies,
+    greedy_pack,
     solve_window_ip,
     solve_window_ip_backtracking,
     solve_window_ip_milp,
@@ -109,6 +111,37 @@ class TestSynthetic:
 
         with pytest.raises(PreconditionError):
             solve_window_ip(rounded, backend="bogus")
+
+
+class TestGreedyPack:
+    def test_longest_first_leftmost_start(self):
+        """Longest windows first (ties: more class units, then lower
+        class id), each at the leftmost start with capacity left and a
+        free class."""
+        rounded = _synthetic(
+            {0: {3: 1, 1: 2}, 1: {3: 1}, 2: {2: 1}}, num_layers=6, m=2
+        )
+        packed = greedy_pack(rounded)
+        assert packed.windows == {
+            0: [(0, 3), (3, 1), (4, 1)],
+            1: [(0, 3)],
+            2: [(3, 2)],
+        }
+        _check_assignment(rounded, packed)
+        assert assignment_satisfies(rounded, packed)
+
+    def test_class_units_beyond_horizon(self):
+        # Class 0 needs 6 disjoint layers of a 5-layer horizon.
+        rounded = _synthetic({0: {2: 3}, 1: {1: 1}}, num_layers=5, m=3)
+        assert greedy_pack(rounded) is None
+
+    def test_window_longer_than_horizon(self):
+        rounded = _synthetic({0: {6: 1}}, num_layers=5, m=3)
+        assert greedy_pack(rounded) is None
+
+    def test_empty_demand(self):
+        rounded = _synthetic({}, num_layers=4, m=2)
+        assert greedy_pack(rounded).windows == {}
 
 
 class TestBackendAgreement:

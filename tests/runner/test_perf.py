@@ -208,6 +208,32 @@ class TestCheckRegressions:
             1.0,
         ]
 
+    @staticmethod
+    def _two_epsilons(half_s, two_fifths_s):
+        return {
+            "results": [
+                {"suite": "eptas", "algorithm": "eptas", "n_target": 8,
+                 "epsilon": "1/2", "median_s": half_s},
+                {"suite": "eptas", "algorithm": "eptas", "n_target": 8,
+                 "epsilon": "2/5", "median_s": two_fifths_s},
+            ]
+        }
+
+    def test_cells_differing_only_in_epsilon_compare_separately(self):
+        base = self._two_epsilons(0.5, 3.0)
+        steady = self._two_epsilons(0.52, 2.9)
+        assert check_regressions(steady, base, 10.0) == []
+        slower = self._two_epsilons(0.9, 2.9)
+        failures = check_regressions(slower, base, 10.0)
+        assert len(failures) == 1
+        assert "eptas @ n_target=8, epsilon=1/2: " in failures[0]
+        assert "+80.0%" in failures[0]
+        annotated = attach_baseline(steady, base)
+        assert [c["baseline_median_s"] for c in annotated["results"]] == [
+            0.5,
+            3.0,
+        ]
+
     def test_cell_without_suite_reads_as_default(self):
         base = _fake_bench({("three_halves", 800): 1.0})
         data = self._two_suites(1.5, 9.0)
@@ -324,8 +350,11 @@ def test_write_bench_json_records_traced_headline(tmp_path):
 
 def test_eptas_suite_attaches_phase_breakdown():
     data = run_eptas_suite(
-        cells=(("uniform", 2, 6, 0),), repeats=1
+        cells=(("uniform", 2, 6, 0, "1/2"), ("uniform", 2, 6, 0, "2/5")),
+        repeats=1,
     )
+    # Each cell runs at its own epsilon.
+    assert [cell["epsilon"] for cell in data["results"]] == ["1/2", "2/5"]
     for cell in data["results"]:
         assert cell["valid"], cell.get("error")
         phases = cell["phase_s"]
