@@ -35,15 +35,7 @@ from repro.core.bounds import lower_bound_int
 from repro.core.errors import InfeasibleError, PreconditionError, ReproError
 from repro.core.instance import Instance, Job
 from repro.core.schedule import Placement, Schedule
-
-try:  # scipy is an install dependency, but keep the B&B self-sufficient
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    _HAVE_MILP = True
-except ImportError:  # pragma: no cover - scipy always present in CI
-    _HAVE_MILP = False
+from repro.util.optional import milp_modules
 
 __all__ = [
     "schedule_exact",
@@ -76,8 +68,10 @@ def schedule_exact_milp(
     max_variables: int = 500_000,
 ) -> ScheduleResult:
     """Solve MSRS exactly via the time-indexed MILP (HiGHS backend)."""
-    if not _HAVE_MILP:  # pragma: no cover
+    modules = milp_modules()
+    if modules is None:  # pragma: no cover
         raise PreconditionError("scipy.optimize.milp is unavailable")
+    np, sparse, optimize = modules
     fast = trivial_class_per_machine(instance, "exact_milp")
     if fast is not None:
         return fast
@@ -190,10 +184,10 @@ def schedule_exact_milp(
     hi[c_index] = float(ub)
     integrality = np.ones(nvar)
 
-    result = milp(
+    result = optimize.milp(
         c=objective,
-        constraints=LinearConstraint(A, row_lb, row_ub),
-        bounds=Bounds(lo, hi),
+        constraints=optimize.LinearConstraint(A, row_lb, row_ub),
+        bounds=optimize.Bounds(lo, hi),
         integrality=integrality,
     )
     if result.status != 0 or result.x is None:  # pragma: no cover
@@ -361,6 +355,6 @@ def schedule_exact_bb(
 @register("exact")
 def schedule_exact(instance: Instance, **kwargs) -> ScheduleResult:
     """Exact solve: MILP when available (and not overridden), else B&B."""
-    if _HAVE_MILP:
+    if milp_modules() is not None:
         return schedule_exact_milp(instance, **kwargs)
     return schedule_exact_bb(instance, **kwargs)  # pragma: no cover

@@ -15,7 +15,8 @@ Usage (after ``pip install -e .``):
     python -m repro bench -o BENCH_runtime_scaling.json \\
         --baseline BENCH_old.json   # machine-readable perf tracking
     python -m repro bench --suite runner   # backend throughput scaling
-    python -m repro lint src tests        # invariant linter (REP001–REP005)
+    python -m repro bench --suite startup  # cold-start wall time
+    python -m repro lint src tests        # invariant linter (REP001–REP006)
     python -m repro lint --format json --rule REP004   # single rule, CI schema
     python -m repro serve --port 7341 -o service.jsonl  # scheduler service
     python -m repro submit plan.json -a three_halves --port 7341
@@ -44,7 +45,6 @@ from repro import (
     validate_schedule,
     validation_instance,
 )
-from repro.analysis import format_table, render_gantt
 from repro.core.errors import PreconditionError
 from repro.workloads import family_names, generate
 
@@ -91,6 +91,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if result.guarantee is not None:
         print(f"guarantee: {result.guarantee} (holds: {result.within_guarantee()})")
     if args.gantt:
+        from repro.analysis import render_gantt
+
         print()
         print(render_gantt(result.schedule, inst))
     if args.out:
@@ -100,6 +102,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+
     inst = _load_instance(args.instance)
     rows = []
     algorithms = args.algorithms or [
@@ -236,6 +240,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
     from repro.runner.perf import (
         check_regressions,
         load_bench_json,
@@ -246,6 +251,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_obs_suite,
         run_runner_suite,
         run_runtime_scaling,
+        run_startup_suite,
         write_bench_json,
     )
 
@@ -314,6 +320,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 repeats=args.repeats, seed=args.seed, **runner_overrides
             )
         )
+    if args.suite in ("startup", "all"):
+        runs.append(run_startup_suite(repeats=args.repeats, seed=args.seed))
     data = runs[0] if len(runs) == 1 else merge_bench_runs(*runs)
     data = write_bench_json(args.out, data, baseline=baseline)
     rows = []
@@ -400,6 +408,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"tracing overhead ({cell['algorithm']}, enabled vs null "
                 f"tracer): {cell['overhead_pct']:+.2f}%"
             )
+    startup_cells = [
+        cell for cell in data["results"] if cell.get("suite") == "startup"
+    ]
+    if startup_cells:
+        summary = ", ".join(
+            f"{cell['command']} {cell['min_s'] * 1e3:.0f} ms "
+            f"(IQR {cell['spread_pct']:.0f}%)"
+            for cell in startup_cells
+        )
+        print(f"cold start, best of {startup_cells[0]['repeats']}: {summary}")
     print(f"wrote {args.out}")
     invalid = [cell for cell in data["results"] if not cell["valid"]]
     if invalid:
@@ -497,6 +515,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table, render_gantt
+
     inst = Instance.from_class_sizes(
         [[9, 2], [8, 3], [5, 5, 4], [6, 6], [4, 4, 4], [3, 2, 2], [7],
          [1, 1, 1, 1]],
@@ -708,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         choices=(
             "default", "baselines", "approx", "eptas", "obs", "runner",
-            "all",
+            "startup", "all",
         ),
         default="default",
         help=(
@@ -721,7 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
             "span breakdown); obs: the observability overhead smoke "
             "(null vs enabled tracer, paired timing); runner: the "
             "execution-backend throughput grid (serial vs sharded "
-            "cells/sec by shard count); all: every suite"
+            "cells/sec by shard count); startup: cold-start wall time of "
+            "python, repro --help, serve and submit in fresh child "
+            "processes; all: every suite"
         ),
     )
     p_bench.add_argument(

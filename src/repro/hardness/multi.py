@@ -26,15 +26,7 @@ from repro.core.errors import (
     InvalidScheduleError,
     PreconditionError,
 )
-
-try:
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    _HAVE_MILP = True
-except ImportError:  # pragma: no cover
-    _HAVE_MILP = False
+from repro.util.optional import milp_modules
 
 __all__ = [
     "MultiJob",
@@ -218,8 +210,10 @@ def exact_multi_makespan(
 ) -> Tuple[int, MultiSchedule]:
     """Exact optimum via a time-indexed MILP with per-resource capacity
     rows (integral start times are WLOG by the left-shift argument)."""
-    if not _HAVE_MILP:  # pragma: no cover
+    modules = milp_modules()
+    if modules is None:  # pragma: no cover
         raise PreconditionError("scipy.optimize.milp unavailable")
+    np, sparse, optimize = modules
     jobs = list(instance.jobs)
     m = instance.num_machines
     if horizon is None:
@@ -326,10 +320,10 @@ def exact_multi_makespan(
     hi_b = np.ones(nvar)
     lo_b[c_index] = float(lb)
     hi_b[c_index] = float(ub)
-    result = milp(
+    result = optimize.milp(
         c=objective,
-        constraints=LinearConstraint(A, row_lb, row_ub),
-        bounds=Bounds(lo_b, hi_b),
+        constraints=optimize.LinearConstraint(A, row_lb, row_ub),
+        bounds=optimize.Bounds(lo_b, hi_b),
         integrality=np.ones(nvar),
     )
     if result.status != 0 or result.x is None:  # pragma: no cover

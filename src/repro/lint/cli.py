@@ -32,7 +32,7 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
     """Register the ``lint`` subcommand on the ``repro`` CLI."""
     parser = subparsers.add_parser(
         "lint",
-        help="statically check the repo's invariant contracts (REP001–REP005)",
+        help="statically check the repo's invariant contracts (REP001–REP006)",
         description=(
             "AST-based invariant linter: tick discipline, determinism, "
             "backend pickling-safety, registry coverage, exception "

@@ -234,4 +234,5 @@ from repro.lint.rules import (  # noqa: E402,F401  (registration imports)
     rep003_pickling,
     rep004_registry,
     rep005_exceptions,
+    rep006_imports,
 )

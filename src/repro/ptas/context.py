@@ -50,7 +50,6 @@ from repro.core.instance import Instance, Job
 from repro.obs import get_tracer
 from repro.ptas import ip
 from repro.ptas.ip import (
-    _HAVE_MILP,
     WindowAssignment,
     assignment_satisfies,
     greedy_pack,
@@ -59,6 +58,7 @@ from repro.ptas.ip import (
 from repro.ptas.layers import RoundedInstance, round_instance
 from repro.ptas.params import PtasParams, choose_params
 from repro.ptas.simplify import SimplifiedInstance, simplify
+from repro.util.optional import milp_modules
 from repro.util.rational import Number
 
 __all__ = [
@@ -363,7 +363,7 @@ class GuessContext:
     # ------------------------------------------------------------------ #
     def _resolved_backend(self) -> str:
         if self.ip_backend == "auto":
-            return "milp" if _HAVE_MILP else "backtracking"
+            return "milp" if milp_modules() is not None else "backtracking"
         return self.ip_backend
 
     def stats(self) -> Dict[str, int]:

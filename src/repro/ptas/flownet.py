@@ -22,24 +22,25 @@ fractional small-job distribution, mirroring the paper's proof.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
-
-try:  # optional: only the FIG5 flow machinery needs networkx
-    import networkx as nx
-
-    _HAVE_NETWORKX = True
-except ImportError:  # pragma: no cover - networkx present in CI
-    nx = None
-    _HAVE_NETWORKX = False
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.core.errors import InfeasibleError, PreconditionError
+from repro.util.optional import optional_import
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
-def _require_networkx() -> None:
-    if not _HAVE_NETWORKX:  # pragma: no cover - networkx present in CI
+def _networkx():
+    """networkx, imported on first use; only the FIG5 flow machinery
+    needs it."""
+    nx = optional_import("networkx")
+    if nx is None:
         raise PreconditionError(
             "networkx is required for the flow-network machinery"
         )
+    return nx
+
 
 __all__ = [
     "build_flow_network",
@@ -68,8 +69,7 @@ def build_flow_network(
     k:
         Slots available for small load per layer.
     """
-    _require_networkx()
-    graph = nx.DiGraph()
+    graph = _networkx().DiGraph()
     graph.add_node(SOURCE)
     graph.add_node(SINK)
     for cid, need in n_c.items():
@@ -97,7 +97,7 @@ def assign_placeholders_by_flow(
     """
     graph = build_flow_network(n_c, gamma, k)
     demand = sum(n_c.values())
-    flow_value, flow = nx.maximum_flow(graph, SOURCE, SINK)
+    flow_value, flow = _networkx().maximum_flow(graph, SOURCE, SINK)
     if flow_value < demand:
         raise InfeasibleError(
             f"placeholder flow shortfall: {flow_value} < demand {demand}"

@@ -29,15 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import InfeasibleError, PreconditionError
 from repro.ptas.layers import RoundedInstance
-
-try:
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    _HAVE_MILP = True
-except ImportError:  # pragma: no cover - scipy present in CI
-    _HAVE_MILP = False
+from repro.util.optional import milp_modules
 
 __all__ = [
     "Window",
@@ -232,8 +224,10 @@ def solve_window_ip_milp(
     :func:`greedy_pack`) and calls ``compress=True`` once per solve, for
     the guess whose schedule it realizes.
     """
-    if not _HAVE_MILP:  # pragma: no cover
+    modules = milp_modules()
+    if modules is None:  # pragma: no cover
         raise PreconditionError("scipy.optimize.milp unavailable")
+    np, sparse, optimize = modules
     L = rounded.grid.num_layers
     m = rounded.num_machines
 
@@ -315,10 +309,10 @@ def solve_window_ip_milp(
     else:
         objective = np.zeros(nvar)
     A = sparse.csr_matrix((vals, (rows, cols)), shape=(row, nvar))
-    result = milp(
+    result = optimize.milp(
         c=objective,
-        constraints=LinearConstraint(A, row_lb, row_ub),
-        bounds=Bounds(np.zeros(nvar), hi),
+        constraints=optimize.LinearConstraint(A, row_lb, row_ub),
+        bounds=optimize.Bounds(np.zeros(nvar), hi),
         integrality=np.ones(nvar),
     )
     if result.status == 2 or result.x is None:
@@ -454,7 +448,7 @@ def solve_window_ip(
     if backend == "backtracking":
         return solve_window_ip_backtracking(rounded, hint=hint)
     if backend == "auto":
-        if _HAVE_MILP:
+        if milp_modules() is not None:
             return solve_window_ip_milp(rounded)
         return solve_window_ip_backtracking(rounded, hint=hint)  # pragma: no cover
     raise PreconditionError(f"unknown IP backend {backend!r}")

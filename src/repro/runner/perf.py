@@ -64,16 +64,28 @@ count (:mod:`repro.runner.backends`), recording cells/sec, steal counts
 and ``speedup_vs_serial`` — the throughput factor over the in-process
 reference.
 
+``run_startup_suite`` times the CLI from a cold interpreter: ``python
+-c pass``, ``repro --help``, ``repro serve`` up to its address line and
+a ``repro submit`` against a warm server, each in fresh child processes
+(best of ``repeats``, with the interquartile spread), so the cost of
+what a command imports is a recorded number.
+
 CLI: ``python -m repro bench --out BENCH_runtime_scaling.json
 [--baseline old.json]
-[--suite default|baselines|approx|eptas|obs|runner|all]``.
+[--suite default|baselines|approx|eptas|obs|runner|startup|all]``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
+import re
 import statistics
+import subprocess
+import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -105,6 +117,7 @@ __all__ = [
     "run_eptas_suite",
     "run_obs_suite",
     "run_runner_suite",
+    "run_startup_suite",
     "merge_bench_runs",
     "write_bench_json",
     "load_bench_json",
@@ -176,6 +189,13 @@ RUNNER_INSTANCES = 36
 RUNNER_SIZE = 400
 RUNNER_MACHINES = 4
 RUNNER_ALGORITHM = "three_halves"
+
+
+#: ``--suite startup``: the instance a timed ``repro submit`` sends
+#: (``uniform`` m=4 size 12, about 30 jobs, as perfbench's service
+#: requests) and how long one child may take.
+STARTUP_SUBMIT_INSTANCE = ("uniform", 4, 12)
+STARTUP_CHILD_TIMEOUT_S = 120
 
 
 def _bench_instance(n_target: int, machines: int, seed: int):
@@ -833,6 +853,150 @@ def run_runner_suite(
             "algorithm": algorithm,
             "shard_counts": list(shard_counts),
             "seed": seed,
+            "repeats": repeats,
+        },
+        "python": platform.python_version(),
+        "results": results,
+    }
+
+
+def _start_server(env: Dict[str, str], results: Path):
+    """A ``repro serve`` child on an ephemeral port; returns the process
+    and its ``(host, port)``, ``None`` when it did not start."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "-o", str(results), "--backend", "serial"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    watchdog = threading.Timer(STARTUP_CHILD_TIMEOUT_S, proc.kill)
+    watchdog.start()
+    try:
+        line = proc.stdout.readline()
+    finally:
+        watchdog.cancel()
+    match = re.search(r"serving on ([^:\s]+):(\d+)", line)
+    return proc, (match.group(1), match.group(2)) if match else None
+
+
+def _stop_server(proc) -> None:
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+
+
+def run_startup_suite(*, repeats: int = 10, seed: int = 0) -> dict:
+    """Cold-start cost of the CLI (``--suite startup``).
+
+    Every repeat runs each command once in a fresh child interpreter,
+    the commands interleaved so that load from other processes falls on
+    all of them alike:
+
+    * ``python -c pass``, the interpreter alone;
+    * ``python -m repro --help``;
+    * ``python -m repro serve``, until it prints its address;
+    * ``python -m repro submit`` of one small ``three_halves`` instance
+      against a warm server that the suite starts first (one untimed
+      submit stores the answer, so every timed submit is a hit) and
+      reaps at the end.
+
+    A cell's ``min_s`` is its best run and ``median_s`` its median;
+    ``spread_pct`` is the interquartile range over the median, which
+    says whether the suite can tell one commit from the next.  Children
+    run untraced, whatever the bench process's environment says.
+    """
+    from repro.obs import TRACE_ENV
+
+    env = {k: v for k, v in os.environ.items() if k != TRACE_ENV}
+    src = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )
+    family, machines, size = STARTUP_SUBMIT_INSTANCE
+    instance = generate(family, machines, size, seed)
+    labels = {
+        "python": "python -c pass",
+        "help": "python -m repro --help",
+        "serve": "python -m repro serve (until its address line)",
+        "submit": "python -m repro submit -a three_halves (a stored hit)",
+    }
+    walls: Dict[str, List[float]] = {label: [] for label in labels}
+    failures: Dict[str, str] = {}
+    with tempfile.TemporaryDirectory(prefix="repro-startup-") as tmp:
+        workdir = Path(tmp)
+        payload = workdir / "instance.json"
+        payload.write_text(json.dumps(instance.to_dict()))
+        warm, address = _start_server(env, workdir / "warm.jsonl")
+        try:
+            if address is None:
+                raise RuntimeError("the warm repro serve did not start")
+            host, port = address
+            submit = [sys.executable, "-m", "repro", "submit", str(payload),
+                      "-a", "three_halves", "--host", host, "--port", port]
+            commands = {
+                "python": [sys.executable, "-c", "pass"],
+                "help": [sys.executable, "-m", "repro", "--help"],
+                "submit": submit,
+            }
+            subprocess.run(submit, env=env, capture_output=True,
+                           timeout=STARTUP_CHILD_TIMEOUT_S, check=True)
+            for index in range(max(1, repeats)):
+                for label in labels:
+                    t0 = time.perf_counter()
+                    if label == "serve":
+                        proc, ready = _start_server(
+                            env, workdir / f"serve-{index}.jsonl"
+                        )
+                        elapsed = time.perf_counter() - t0
+                        _stop_server(proc)
+                        ok = ready is not None
+                    else:
+                        done = subprocess.run(
+                            commands[label], env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL,
+                            timeout=STARTUP_CHILD_TIMEOUT_S,
+                        )
+                        elapsed = time.perf_counter() - t0
+                        ok = done.returncode == 0
+                    walls[label].append(elapsed)
+                    if not ok:
+                        failures.setdefault(label, f"run {index} failed")
+        finally:
+            _stop_server(warm)
+    results: List[dict] = []
+    for label in labels:
+        times = walls[label]
+        median = statistics.median(times)
+        spread = 0.0
+        if len(times) > 1 and median > 0:
+            q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+            spread = round(100.0 * (q3 - q1) / median, 2)
+        cell = {
+            "suite": "startup",
+            "algorithm": f"startup[{label}]",
+            "command": labels[label],
+            "n_target": 0,
+            "n_jobs": instance.num_jobs if label == "submit" else 0,
+            "median_s": median,
+            "min_s": min(times),
+            "spread_pct": spread,
+            "repeats": len(times),
+            "valid": label not in failures,
+        }
+        if label in failures:
+            cell["error"] = failures[label]
+        results.append(cell)
+    return {
+        "benchmark": BENCHMARK_NAME,
+        "config": {
+            "suite": "startup",
+            "submit_instance": {
+                "family": family, "machines": machines, "size": size,
+                "seed": seed,
+            },
             "repeats": repeats,
         },
         "python": platform.python_version(),

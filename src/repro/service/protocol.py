@@ -57,6 +57,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_FRAME_BYTES",
     "REQUEST_TYPES",
     "RESPONSE_TYPES",
     "ProtocolError",
@@ -73,6 +74,13 @@ __all__ = [
 
 #: Current wire protocol version (see module docstring).
 PROTOCOL_VERSION = 1
+
+#: Longest request line the server reads, newline included.  A solve
+#: request for the bench grid's largest instance (n_target 10⁵, about
+#: 250,000 jobs) encodes to about 10 MB; 64 MiB leaves six times that,
+#: and bounds what a client that never sends a newline can make the
+#: server buffer.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 REQUEST_TYPES = ("solve", "sweep", "status", "stats", "cancel", "shutdown")
 RESPONSE_TYPES = (

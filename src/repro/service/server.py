@@ -51,6 +51,7 @@ from repro.runner import (
 from repro.service.admission import AdmissionFull, AdmissionQueue
 from repro.service.cache import ResultStore
 from repro.service.protocol import (
+    MAX_FRAME_BYTES,
     ProtocolError,
     decode_frame,
     encode_frame,
@@ -306,7 +307,26 @@ class SchedulerService:
     def _handle_client(self, client: _ClientConn) -> None:
         reader = client.conn.makefile("rb")
         try:
-            for line in reader:
+            while True:
+                line = reader.readline(MAX_FRAME_BYTES)
+                if not line:
+                    break
+                if len(line) == MAX_FRAME_BYTES and not line.endswith(b"\n"):
+                    # The rest of the frame is still unread, so the
+                    # stream cannot be resynchronized: answer and hang up.
+                    self.stats["oversized_frames"] = (
+                        self.stats.get("oversized_frames", 0) + 1
+                    )
+                    client.send(
+                        {
+                            "type": "error",
+                            "id": "?",
+                            "message": (
+                                f"frame exceeds {MAX_FRAME_BYTES} bytes"
+                            ),
+                        }
+                    )
+                    break
                 if not line.strip():
                     continue
                 try:

@@ -9,27 +9,19 @@ numpy is **optional**: when it is importable, :func:`make_rng` returns a
 real :class:`numpy.random.Generator`; without it, the pure-stdlib PCG64
 port in :mod:`repro.util._pcg64` produces the *identical* draw streams
 (pinned against numpy by ``tests/core/test_pcg64.py``), so seeds, golden
-cells and cache keys mean the same thing in both environments.
+cells and cache keys mean the same thing in both environments.  numpy is
+imported by the first :func:`make_rng` call, not by this module
+(:mod:`repro.util.optional`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Union
+from typing import Any, Union
 
 from repro.util._pcg64 import StdlibGenerator, stdlib_default_rng
+from repro.util.optional import optional_import
 
-try:  # pragma: no cover - exercised via the numpy-absent CI leg
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy.random
-
-__all__ = ["SeedLike", "HAVE_NUMPY", "make_rng"]
+__all__ = ["SeedLike", "make_rng"]
 
 SeedLike = Union[None, int, Any]
 
@@ -44,8 +36,9 @@ def make_rng(seed: SeedLike = None) -> Any:
     """
     if isinstance(seed, StdlibGenerator):
         return seed
-    if HAVE_NUMPY:
-        if isinstance(seed, np.random.Generator):
-            return seed
-        return np.random.default_rng(seed)
-    return stdlib_default_rng(seed)
+    np = optional_import("numpy")
+    if np is None:
+        return stdlib_default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)

@@ -17,11 +17,11 @@ from repro.util._pcg64 import (
     StdlibSeedSequence,
     stdlib_default_rng,
 )
-from repro.util.rng import HAVE_NUMPY, make_rng
+from repro.util.optional import optional_import
+from repro.util.rng import make_rng
 from tests.markers import needs_numpy
 
-if HAVE_NUMPY:
-    import numpy as np
+np = optional_import("numpy")
 
 # C++ seed_seq_fe reference data (same vectors numpy's
 # test_seed_sequence.py checks: gist.github.com/imneme/540829265469e673d045).

@@ -41,7 +41,9 @@ def test_meta_repo_lints_clean():
 def test_list_rules():
     proc = run_lint_cli("--list-rules")
     assert proc.returncode == 0
-    for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+    for rule_id in (
+        "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+    ):
         assert rule_id in proc.stdout
 
 

@@ -162,6 +162,26 @@ class TestRep005ExceptionHygiene:
         assert flagged.isdisjoint({23, 32})
 
 
+class TestRep006EagerImports:
+    def test_positives(self):
+        active, _ = by_status(lint_fixture("rep006", "REP006"))
+        assert [f.line for f in active] == [5, 8]
+        messages = " ".join(f.message for f in active)
+        assert "numpy" in messages
+        assert "scipy.optimize" in messages
+
+    def test_inline_allow_suppresses(self):
+        _, suppressed = by_status(lint_fixture("rep006", "REP006"))
+        assert [f.line for f in suppressed] == [13]
+
+    def test_type_checking_and_function_imports_pass(self):
+        # `if TYPE_CHECKING: import scipy.sparse` never runs, and the
+        # networkx import inside max_flow runs only on call.
+        active, suppressed = by_status(lint_fixture("rep006", "REP006"))
+        flagged = {f.line for f in active} | {f.line for f in suppressed}
+        assert flagged.isdisjoint({16, 21})
+
+
 def test_golden_diagnostics():
     """The full fixture corpus reproduces the committed golden report."""
     files = [p for _, p in collect_files([FIXTURES], root=FIXTURES)]
@@ -170,7 +190,9 @@ def test_golden_diagnostics():
 
 
 def test_rule_registry():
-    assert rule_ids() == ["REP001", "REP002", "REP003", "REP004", "REP005"]
+    assert rule_ids() == [
+        "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+    ]
     assert [r.id for r in all_rules()] == rule_ids()
     with pytest.raises(KeyError):
         get_rules(["REP999"])

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ptas.ip import _HAVE_MILP
-from repro.util.rng import HAVE_NUMPY
+from repro.util.optional import milp_modules, optional_import
 
 needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed"
+    optional_import("numpy") is None, reason="numpy not installed"
 )
 needs_milp = pytest.mark.skipif(
-    not _HAVE_MILP, reason="scipy.optimize.milp unavailable"
+    milp_modules() is None, reason="scipy.optimize.milp unavailable"
 )

@@ -21,7 +21,7 @@ from repro.obs import (
     trace_scope,
     write_chrome_trace,
 )
-from repro.ptas.ip import _HAVE_MILP
+from repro.util.optional import milp_modules
 from repro.workloads import generate
 
 
@@ -115,7 +115,7 @@ class TestChromeExport:
         _validate_chrome_schema(doc)
         names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
         assert "eptas.ip_solve" in names
-        if _HAVE_MILP:
+        if milp_modules() is not None:
             assert "eptas.pack" in names
         assert "eptas.classify" in names
         assert "eptas.solve" in names

@@ -377,3 +377,23 @@ def test_runner_suite_races_serial_against_sharded():
         assert cell["cells_per_sec"] > 0
     assert cells[0]["speedup_vs_serial"] == 1.0
     assert cells[1]["speedup_vs_serial"] > 0
+
+
+def test_cli_bench_suite_startup_times_cold_children(tmp_path, capsys):
+    out = tmp_path / "BENCH_startup.json"
+    assert main(["bench", "--suite", "startup", "--repeats", "2",
+                 "-o", str(out)]) == 0
+    assert "cold start, best of 2" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["config"]["suite"] == "startup"
+    cells = data["results"]
+    assert [c["algorithm"] for c in cells] == [
+        "startup[python]", "startup[help]", "startup[serve]",
+        "startup[submit]",
+    ]
+    for cell in cells:
+        assert cell["valid"], cell.get("error")
+        assert cell["repeats"] == 2
+        assert 0 < cell["min_s"] <= cell["median_s"]
+        assert cell["spread_pct"] >= 0
+    assert cells[-1]["n_jobs"] > 0  # the submitted instance

@@ -30,6 +30,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service.protocol import decode_frame
 from repro.workloads import generate
 
 
@@ -629,6 +630,29 @@ class TestConnectionBookkeeping:
         assert all(thread.is_alive() for thread in service._clients.values())
         assert len(service._threads) == 2  # acceptor and dispatcher
         assert client.status()["requests"] == 52
+
+
+class TestFrameSizeCap:
+    def test_oversized_frame_gets_an_error_then_eof(self, service, monkeypatch):
+        """A client that never sends a newline cannot make the server
+        buffer more than the cap: it gets one error frame and EOF, and
+        the next client is served as usual."""
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 4096)
+        host, port = service.address
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(b"x" * 4096)  # a cap's worth, and no newline
+            reader = raw.makefile("rb")
+            frame = decode_frame(reader.readline())
+            assert frame["type"] == "error"
+            assert "exceeds 4096 bytes" in frame["message"]
+            assert reader.readline() == b""  # the server hung up
+            reader.close()
+        with ServiceClient(host, port, timeout=60.0) as second:
+            outcome = second.solve(generate("uniform", 2, 6, 0), "merge_lpt")
+            assert outcome.record.ok
+            assert second.status()["oversized_frames"] == 1
 
 
 class TestShutdown:
