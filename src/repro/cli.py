@@ -389,9 +389,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 if "speedup_vs_serial" in cell
                 else ""
             )
+            + f" IQR {cell['spread_pct']:.0f}%"
             for cell in runner_cells
         )
-        print(f"sweep throughput vs serial: {summary}")
+        print(
+            f"sweep throughput vs serial, best of "
+            f"{runner_cells[0]['repeats']}: {summary}"
+        )
     eptas_speedups = data.get("largest_size_speedups_vs_rebuild", {})
     if eptas_speedups:
         summary = ", ".join(

@@ -28,7 +28,6 @@ from typing import Dict, List
 from repro.core.classify import classify_classes
 from repro.core.instance import Instance
 from repro.util.rational import Number
-from repro.util.selection import nth_largest
 
 __all__ = [
     "average_load_bound",
@@ -60,14 +59,17 @@ def pair_bound(instance: Instance) -> int:
     Either two of the ``m+1`` largest jobs share a machine, or at least two
     of them run on distinct machines — but then by pigeonhole two of the
     first ``m`` jobs share a machine; either way some machine carries two of
-    these jobs.  Computed with the deterministic linear-time selection of
-    Blum et al. as in Lemma 9.
+    these jobs.  Read off the instance's memoized LPT order
+    (:meth:`~repro.core.instance.Instance.jobs_by_size_desc`), which every
+    algorithm on the instance shares; the linear-time selection of Blum et
+    al. that Lemma 9 cites (:func:`repro.util.selection.nth_largest`) is
+    its test oracle.
     """
-    sizes = instance.sizes()
     m = instance.num_machines
-    if len(sizes) <= m:
+    if instance.num_jobs <= m:
         return 0
-    return nth_largest(sizes, m) + nth_largest(sizes, m + 1)
+    order = instance.jobs_by_size_desc()
+    return order[m - 1].size + order[m].size
 
 
 def basic_T(instance: Instance) -> Fraction:

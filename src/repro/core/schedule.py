@@ -21,6 +21,12 @@ from repro.core.timescale import as_integer_ratio
 
 __all__ = ["Placement", "Schedule"]
 
+#: ``(start, job_id, end, machine, class_id)`` on the schedule's tick grid.
+TickRow = Tuple[int, int, int, int, int]
+_Group = Tuple[Tuple["Placement", ...], Tuple[Tuple[int, int], ...]]
+# Positions of the grouping keys within a TickRow.
+_MACHINE, _CLASS = 3, 4
+
 
 class Placement:
     """One scheduled job: ``job`` runs on ``machine`` during ``[start, end)``.
@@ -127,10 +133,9 @@ class Schedule:
 
     __slots__ = (
         "_placements",
-        "_by_machine",
-        "_machine_ticks",
-        "_by_class",
-        "_class_ticks",
+        "_rows",
+        "_rows_sorted",
+        "_indices",
         "_loads",
         "_makespan_ticks",
         "_den",
@@ -154,53 +159,49 @@ class Schedule:
             if den < 1:
                 raise InvalidScheduleError("denominator must be positive")
 
+        # One pass, no sorting: the sorted views are built on demand from
+        # the flat tick rows (see tick_rows).
         by_job: Dict[int, Placement] = {}
-        by_machine: Dict[int, List[Tuple[int, int, Placement]]] = {}
+        rows: List[TickRow] = []
         loads: Dict[int, int] = {}
         makespan_ticks = 0
         for pl in entries:
             job = pl.job
-            if job.id in by_job:
+            job_id = job.id
+            if job_id in by_job:
                 raise InvalidScheduleError(
-                    f"job {job.id} placed more than once"
+                    f"job {job_id} placed more than once"
                 )
-            if not 0 <= pl.machine < num_machines:
+            machine = pl.machine
+            if not 0 <= machine < num_machines:
                 raise InvalidScheduleError(
-                    f"job {job.id}: machine {pl.machine} out of range "
+                    f"job {job_id}: machine {machine} out of range "
                     f"[0, {num_machines})"
                 )
-            scale, rem = divmod(den, pl._den)
-            if rem:
-                raise InvalidScheduleError(
-                    f"job {job.id}: start {pl.start} is off the declared "
-                    f"1/{den} tick grid"
-                )
-            start = pl._num * scale
+            if pl._den == den:
+                start = pl._num
+            else:
+                scale, rem = divmod(den, pl._den)
+                if rem:
+                    raise InvalidScheduleError(
+                        f"job {job_id}: start {pl.start} is off the "
+                        f"declared 1/{den} tick grid"
+                    )
+                start = pl._num * scale
             if start < 0:
                 raise InvalidScheduleError(
-                    f"job {job.id} starts before time zero"
+                    f"job {job_id} starts before time zero"
                 )
             end = start + job.size * den
-            by_job[job.id] = pl
-            by_machine.setdefault(pl.machine, []).append((start, end, pl))
-            loads[pl.machine] = loads.get(pl.machine, 0) + job.size
+            by_job[job_id] = pl
+            rows.append((start, job_id, end, machine, job.class_id))
+            loads[machine] = loads.get(machine, 0) + job.size
             if end > makespan_ticks:
                 makespan_ticks = end
-        machine_ticks: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        by_machine_sorted: Dict[int, Tuple[Placement, ...]] = {}
-        for machine, items in by_machine.items():
-            items.sort(key=lambda item: (item[0], item[2].job.id))
-            machine_ticks[machine] = tuple(
-                (start, end) for start, end, _ in items
-            )
-            by_machine_sorted[machine] = tuple(pl for _, _, pl in items)
         self._placements = by_job
-        self._by_machine = by_machine_sorted
-        self._machine_ticks = machine_ticks
-        self._by_class: Optional[Dict[int, Tuple[Placement, ...]]] = None
-        self._class_ticks: Optional[
-            Dict[int, Tuple[Tuple[int, int], ...]]
-        ] = None
+        self._rows = rows
+        self._rows_sorted = False
+        self._indices: Dict[int, Dict[int, _Group]] = {}
         self._loads = loads
         self._makespan_ticks = makespan_ticks
         self._den = den
@@ -240,59 +241,67 @@ class Schedule:
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._placements
 
+    def tick_rows(self) -> List[TickRow]:
+        """One ``(start, job_id, end, machine, class_id)`` tick row per
+        placement, sorted by ``(start, job id)``.
+
+        Sorted on the first call and kept (the schedule is immutable);
+        callers must not modify the list.  The validator sweeps it once,
+        and the machine and class views below are grouped from it.
+        """
+        if not self._rows_sorted:
+            self._rows = sorted(self._rows)
+            self._rows_sorted = True
+        return self._rows
+
+    def _group(self, field: int, key: int) -> _Group:
+        """``(placements, intervals)`` of one machine (``field`` 3) or
+        class (``field`` 4), in ``(start, job id)`` order.
+
+        The grouping for a field is built once, on first use, in one pass
+        over :meth:`tick_rows`.
+        """
+        index = self._indices.get(field)
+        if index is None:
+            groups: Dict[int, List[TickRow]] = {}
+            for row in self.tick_rows():
+                groups.setdefault(row[field], []).append(row)
+            by_job = self._placements
+            index = self._indices[field] = {
+                value: (
+                    tuple(by_job[row[1]] for row in members),
+                    tuple((row[0], row[2]) for row in members),
+                )
+                for value, members in groups.items()
+            }
+        return index.get(key, ((), ()))
+
     def machine_placements(self, machine: int) -> Tuple[Placement, ...]:
         """Placements on one machine, sorted by start time."""
-        return self._by_machine.get(machine, ())
+        return self._group(_MACHINE, machine)[0]
 
     def machine_intervals(self, machine: int) -> Tuple[Tuple[int, int], ...]:
         """``(start, end)`` tick intervals on one machine, sorted, aligned
         with :meth:`machine_placements`."""
-        return self._machine_ticks.get(machine, ())
+        return self._group(_MACHINE, machine)[1]
 
     def machines_used(self) -> List[int]:
         """Indices of machines that run at least one job."""
-        return sorted(self._by_machine)
+        return sorted(self._loads)
 
     def machine_load(self, machine: int) -> int:
         """Total processing time assigned to ``machine`` (maintained at
         construction, O(1) per query)."""
         return self._loads.get(machine, 0)
 
-    def _build_class_index(self) -> None:
-        by_class: Dict[int, List[Tuple[int, int, Placement]]] = {}
-        for machine, placements in self._by_machine.items():
-            ticks = self._machine_ticks[machine]
-            for (start, end), pl in zip(ticks, placements):
-                by_class.setdefault(pl.job.class_id, []).append(
-                    (start, end, pl)
-                )
-        class_ticks: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        by_class_sorted: Dict[int, Tuple[Placement, ...]] = {}
-        for cid, items in by_class.items():
-            items.sort(key=lambda item: (item[0], item[2].job.id))
-            class_ticks[cid] = tuple((start, end) for start, end, _ in items)
-            by_class_sorted[cid] = tuple(pl for _, _, pl in items)
-        self._by_class = by_class_sorted
-        self._class_ticks = class_ticks
-
     def class_placements(self, class_id: int) -> Tuple[Placement, ...]:
-        """Placements of all jobs of one class, sorted by start time.
-
-        The per-class index is built lazily in a single pass over the
-        schedule and cached (the schedule is immutable), so validating
-        all ``|C|`` classes is ``O(n log n)`` total rather than one full
-        scan per class.
-        """
-        if self._by_class is None:
-            self._build_class_index()
-        return self._by_class.get(class_id, ())
+        """Placements of all jobs of one class, sorted by start time."""
+        return self._group(_CLASS, class_id)[0]
 
     def class_intervals(self, class_id: int) -> Tuple[Tuple[int, int], ...]:
         """``(start, end)`` tick intervals of one class, sorted, aligned
         with :meth:`class_placements`."""
-        if self._class_ticks is None:
-            self._build_class_index()
-        return self._class_ticks.get(class_id, ())
+        return self._group(_CLASS, class_id)[1]
 
     # ------------------------------------------------------------------ #
     def ratio_to(self, bound) -> Fraction:

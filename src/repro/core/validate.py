@@ -8,30 +8,30 @@ A schedule for an MSRS instance is *valid* iff (Section 1 of the paper):
 3. jobs of the same class do not overlap in time — across all machines.
 
 :func:`validate_schedule` raises :class:`InvalidScheduleError` with a precise
-message; :func:`is_valid` is the boolean convenience wrapper.  The whole
-check is ``O(n log n)``: machine and class sweeps both run off indexes
-built in one pass over the schedule (see
-:meth:`~repro.core.schedule.Schedule.class_placements`), so many-class
-instances — the paper's regime of interest — validate in near-linear
-time.  Disjointness compares integer tick intervals on the schedule's
-declared grid (:meth:`~repro.core.schedule.Schedule.machine_intervals`);
-no :class:`~fractions.Fraction` arithmetic runs unless a check fails and
-an error message is rendered.
+message; :func:`is_valid` is the boolean convenience wrapper.  The check is
+one pass over the instance's jobs and one sweep over the schedule's tick
+rows, sorted once by ``(start, job id)``
+(:meth:`~repro.core.schedule.Schedule.tick_rows`), that keeps the previous
+end per machine and per class: ``O(n log n)`` in all, on integer ticks.
+Only a failing schedule pays for naming its fault — the first missing,
+foreign or altered job, or the first overlap in machine order and then in
+class order, read from the schedule's lazily grouped machine and class
+views — and only then does :class:`~fractions.Fraction` arithmetic run, to
+render the message.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional
 
 from repro.core.errors import InvalidScheduleError
 from repro.core.instance import Instance
-from repro.core.schedule import Placement, Schedule
+from repro.core.schedule import Schedule
 
 __all__ = [
     "validate_schedule",
     "is_valid",
-    "check_disjoint",
     "validation_instance",
 ]
 
@@ -56,38 +56,73 @@ def validation_instance(instance: Instance, schedule: Schedule) -> Instance:
     )
 
 
-def check_disjoint(placements: Sequence[Placement], what: str) -> None:
-    """Assert that a set of placements is pairwise disjoint in time.
+def _job_set_error(instance: Instance, schedule: Schedule) -> Optional[str]:
+    """Why ``schedule`` does not place exactly the jobs of ``instance``,
+    or ``None`` when it does.
 
-    ``placements`` must be sorted by start time.  ``what`` names the scope
-    (machine or class) for the error message.
+    One lookup per instance job; a placement that holds the instance's
+    own :class:`~repro.core.instance.Job` object, as every algorithm's
+    do, passes without a field comparison.  Only a mismatch runs the set
+    arithmetic that names it.
     """
-    for prev, cur in zip(placements, placements[1:]):
-        if cur.start < prev.end:
-            raise InvalidScheduleError(
-                f"{what}: job {prev.job.id} [{prev.start}, {prev.end}) "
-                f"overlaps job {cur.job.id} [{cur.start}, {cur.end})"
+    placements = schedule.placements
+    if len(placements) == instance.num_jobs:
+        get = placements.get
+        for job in instance.jobs:
+            pl = get(job.id)
+            if pl is None or (
+                pl.job is not job
+                and (pl.job.size, pl.job.class_id) != (job.size, job.class_id)
+            ):
+                break
+        else:
+            return None
+    placed_ids = set(placements)
+    instance_ids = {job.id for job in instance.jobs}
+    missing = instance_ids - placed_ids
+    if missing:
+        return f"{len(missing)} job(s) not scheduled, e.g. id {min(missing)}"
+    extra = placed_ids - instance_ids
+    if extra:
+        return f"{len(extra)} foreign job(s) in schedule, e.g. id {min(extra)}"
+    for job in instance.jobs:
+        placed = placements[job.id].job
+        if placed.size != job.size or placed.class_id != job.class_id:
+            return (
+                f"job {job.id} was altered: instance has (size={job.size}, "
+                f"class={job.class_id}), schedule has (size={placed.size}, "
+                f"class={placed.class_id})"
             )
+    return None
 
 
-def _check_disjoint_ticks(
-    intervals: Sequence[tuple],
-    placements: Sequence[Placement],
-    what: str,
-) -> None:
-    """Tick-grid disjointness sweep over pre-sorted aligned intervals."""
-    prev_end = -1
-    prev_index = -1
-    for index, (start, end) in enumerate(intervals):
-        if start < prev_end:
-            prev = placements[prev_index]
-            cur = placements[index]
-            raise InvalidScheduleError(
-                f"{what}: job {prev.job.id} [{prev.start}, {prev.end}) "
-                f"overlaps job {cur.job.id} [{cur.start}, {cur.end})"
-            )
-        prev_end = end
-        prev_index = index
+def _overlap_error(instance: Instance, schedule: Schedule) -> str:
+    """The message naming the first overlap: machines first, in machine
+    order, then classes, each scanned in ``(start, job id)`` order."""
+    scopes = [
+        (
+            f"machine {machine}",
+            schedule.machine_intervals(machine),
+            schedule.machine_placements(machine),
+        )
+        for machine in schedule.machines_used()
+    ] + [
+        (
+            f"class {class_id}",
+            schedule.class_intervals(class_id),
+            schedule.class_placements(class_id),
+        )
+        for class_id in instance.classes
+    ]
+    for what, intervals, placements in scopes:
+        for index in range(1, len(intervals)):
+            if intervals[index][0] < intervals[index - 1][1]:
+                prev, cur = placements[index - 1], placements[index]
+                return (
+                    f"{what}: job {prev.job.id} [{prev.start}, {prev.end}) "
+                    f"overlaps job {cur.job.id} [{cur.start}, {cur.end})"
+                )
+    raise AssertionError("no interval overlaps its predecessor")
 
 
 def validate_schedule(
@@ -109,41 +144,20 @@ def validate_schedule(
             f"schedule has {schedule.num_machines} machines, instance has "
             f"{instance.num_machines}"
         )
+    job_error = _job_set_error(instance, schedule)
+    if job_error is not None:
+        raise InvalidScheduleError(job_error)
 
-    placed_ids = set(schedule.placements)
-    instance_ids = {job.id for job in instance.jobs}
-    missing = instance_ids - placed_ids
-    if missing:
-        raise InvalidScheduleError(
-            f"{len(missing)} job(s) not scheduled, e.g. id {min(missing)}"
-        )
-    extra = placed_ids - instance_ids
-    if extra:
-        raise InvalidScheduleError(
-            f"{len(extra)} foreign job(s) in schedule, e.g. id {min(extra)}"
-        )
-    for job in instance.jobs:
-        placed = schedule[job.id].job
-        if placed.size != job.size or placed.class_id != job.class_id:
-            raise InvalidScheduleError(
-                f"job {job.id} was altered: instance has (size={job.size}, "
-                f"class={job.class_id}), schedule has (size={placed.size}, "
-                f"class={placed.class_id})"
-            )
-
-    for machine in schedule.machines_used():
-        _check_disjoint_ticks(
-            schedule.machine_intervals(machine),
-            schedule.machine_placements(machine),
-            f"machine {machine}",
-        )
-
-    for class_id in instance.classes:
-        _check_disjoint_ticks(
-            schedule.class_intervals(class_id),
-            schedule.class_placements(class_id),
-            f"class {class_id}",
-        )
+    # Sorted by start, an interval is disjoint from every earlier one of
+    # its machine (class) iff it starts no earlier than the previous one
+    # ends: ends increase along a disjoint run.  Starts are >= 0.
+    machine_end = [0] * schedule.num_machines
+    class_end = dict.fromkeys(instance.classes, 0)
+    for start, _job_id, end, machine, class_id in schedule.tick_rows():
+        if start < machine_end[machine] or start < class_end[class_id]:
+            raise InvalidScheduleError(_overlap_error(instance, schedule))
+        machine_end[machine] = end
+        class_end[class_id] = end
 
     if deadline is not None and schedule.makespan > deadline:
         raise InvalidScheduleError(

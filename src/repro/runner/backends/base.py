@@ -229,13 +229,22 @@ def spec_payload(
 
 
 def execute_cell(
-    payload: dict, repository: Optional["InstanceRepository"] = None
+    payload: dict,
+    repository: Optional["InstanceRepository"] = None,
+    memo: Optional[Dict[str, Any]] = None,
 ) -> dict:
     """Run one cell; always returns a record dict (never raises).
 
     Module-level so it pickles into worker processes.  ``repository``
     serves deferred payloads the dispatcher chose not to resolve
     (worker-side fetch).
+
+    ``memo`` is a one-entry parse cache that the caller keeps across
+    calls, ``{instance_hash: Instance}``: a cell whose instance hash
+    matches the entry reuses the parsed instance (and the aggregates it
+    memoizes, such as the LPT order); any other cell parses its payload
+    and replaces the entry.  One entry parses a run of consecutive cells
+    on one instance once while holding a single instance in memory.
     """
     base = {
         "instance": payload["instance_name"],
@@ -272,7 +281,13 @@ def execute_cell(
             from repro.core.instance import Instance
             from repro.core.validate import is_valid, validation_instance
 
-            instance = Instance.from_dict(instance_payload)
+            instance_hash = payload["instance_hash"]
+            instance = None if memo is None else memo.get(instance_hash)
+            if instance is None:
+                instance = Instance.from_dict(instance_payload)
+                if memo is not None:
+                    memo.clear()
+                    memo[instance_hash] = instance
             base.update(
                 n=instance.num_jobs,
                 m=instance.num_machines,

@@ -9,7 +9,7 @@ determinism tests compare ``sharded`` output to.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from repro.runner.backends import base
 from repro.runner.backends.base import (
@@ -41,10 +41,13 @@ class SerialBackend(ExecutionBackend):
         # directly — no sidecar needed).  The call goes through the
         # module attribute so a wrapper installed on
         # ``base.execute_cell`` (a profiler's, say) sees every cell.
+        # One parse memo per run: consecutive cells on one instance (a
+        # ``from_product`` plan lists them so) share one parse.
+        memo: Dict[str, Any] = {}
         for spec in pending:
             payload = spec_payload(
                 spec, backend=self.name, repository=repository
             )
-            record = base.execute_cell(payload, repository)
+            record = base.execute_cell(payload, repository, memo)
             sink.emit(spec, record)
             yield spec, record

@@ -41,7 +41,7 @@ import multiprocessing
 from collections import deque
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs import get_tracer, merge_sidecar, sidecar_path, worker_trace_scope
 from repro.runner.backends.base import (
@@ -93,6 +93,7 @@ def _shard_worker(shard, conn, part_path, repository):
     into the parent trace after the deterministic record merge.
     """
     trace_path = sidecar_path(Path(part_path).parent, shard)
+    memo: Dict[str, Any] = {}  # one-entry parse memo (see execute_cell)
     try:
         with open(part_path, "a") as part, \
                 worker_trace_scope(trace_path, shard=shard):
@@ -100,7 +101,7 @@ def _shard_worker(shard, conn, part_path, repository):
                 payload = conn.recv()
                 if payload is None:
                     return
-                record = execute_cell(payload, repository)
+                record = execute_cell(payload, repository, memo)
                 part.write(
                     json.dumps(record, sort_keys=True, default=str) + "\n"
                 )

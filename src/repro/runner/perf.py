@@ -60,9 +60,10 @@ never change behavior.
 ``run_runner_suite`` benchmarks the *sweep engine itself* rather than a
 solver: one fixed work plan over an in-memory repository is executed
 by the ``serial`` backend and by the ``sharded`` backend at each shard
-count (:mod:`repro.runner.backends`), recording cells/sec, steal counts
-and ``speedup_vs_serial`` — the throughput factor over the in-process
-reference.
+count (:mod:`repro.runner.backends`), the configs interleaved within
+each repeat, recording cells/sec from each config's fastest repeat with
+the interquartile spread, steal counts and ``speedup_vs_serial`` — the
+throughput factor over the in-process reference.
 
 ``run_startup_suite`` times the CLI from a cold interpreter: ``python
 -c pass``, ``repro --help``, ``repro serve`` up to its address line and
@@ -88,7 +89,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import repro.algorithms  # noqa: F401 - registration side effects
 from repro.algorithms.registry import get_algorithm
@@ -766,12 +767,16 @@ def run_runner_suite(
 
     One fixed plan (``instances`` × 1 algorithm, deferred payloads over
     an in-memory repository) is swept by ``serial`` and by ``sharded``
-    at each of ``shard_counts``.  Measured per config (median of
-    ``repeats``): total sweep wall-clock, cells/sec, steal counts and
-    retries, plus ``speedup_vs_serial``, the throughput factor over the
-    in-process reference.
+    at each of ``shard_counts``.  Every repeat runs each config once,
+    the configs interleaved so that load from other processes falls on
+    all of them alike.  Per config: ``cells_per_sec`` and
+    ``speedup_vs_serial`` come from its fastest repeat (``min_s``), as
+    other tenants only ever slow a run down; ``median_s`` and
+    ``spread_pct`` (the interquartile range over the median) say how
+    far its repeats spread.  Steal counts and retries are the last
+    repeat's.
 
-    Every config's record stream is checked cell-for-cell against the
+    Every run's record stream is checked cell-for-cell against the
     serial reference stream (canonical form, timing excluded), so a
     throughput win is never bought with a behavior change.
     """
@@ -796,23 +801,28 @@ def run_runner_suite(
             )
         )
 
+    timings: Dict[str, List[float]] = {label: [] for label, _, _ in configs}
+    last: Dict[str, Any] = {}
+    same_stream = dict.fromkeys(timings, True)
     reference_stream: Optional[str] = None
-    results: List[dict] = []
-    for label, kwargs, knob in configs:
-        timings: List[float] = []
-        last = None
-        for _ in range(max(1, repeats)):
+    for _ in range(max(1, repeats)):
+        for label, kwargs, _knob in configs:
             plan = WorkPlan.from_product(
                 repo, [algorithm], defer_payloads=True
             )
             t0 = time.perf_counter()
-            last = run_plan(plan, None, repository=repo, **kwargs)
-            timings.append(time.perf_counter() - t0)
-        median = statistics.median(timings)
-        n_cells = len(last.records)
-        stream = canonical_stream(last.records)
-        if reference_stream is None:
-            reference_stream = stream
+            last[label] = run_plan(plan, None, repository=repo, **kwargs)
+            timings[label].append(time.perf_counter() - t0)
+            stream = canonical_stream(last[label].records)
+            if reference_stream is None:
+                reference_stream = stream
+            same_stream[label] &= stream == reference_stream
+
+    results: List[dict] = []
+    for label, _kwargs, knob in configs:
+        times, run = timings[label], last[label]
+        best = min(times)
+        n_cells = len(run.records)
         cell = {
             "suite": "runner",
             "algorithm": f"sweep[{label}]",
@@ -821,27 +831,26 @@ def run_runner_suite(
             "n_jobs": n_cells,
             "cells": n_cells,
             "machines": machines,
-            "median_s": median,
-            "min_s": min(timings),
-            "repeats": len(timings),
-            "cells_per_sec": round(n_cells / median, 3) if median > 0 else None,
-            "errors": last.errors,
-            "valid": last.errors == 0 and stream == reference_stream,
+            "median_s": statistics.median(times),
+            "min_s": best,
+            "spread_pct": _spread_pct(times),
+            "repeats": len(times),
+            "cells_per_sec": round(n_cells / best, 3) if best > 0 else None,
+            "errors": run.errors,
+            "valid": run.errors == 0 and same_stream[label],
         }
-        if stream != reference_stream:
+        if not same_stream[label]:
             cell["error"] = (
                 "canonical record stream differs from the serial reference"
             )
         for key in ("steals", "retries", "quarantined"):
-            if key in last.stats:
-                cell[key] = last.stats[key]
+            if key in run.stats:
+                cell[key] = run.stats[key]
         results.append(cell)
-    serial_median = results[0]["median_s"]
+    serial_best = results[0]["min_s"]
     for cell in results:
-        if cell["median_s"] > 0:
-            cell["speedup_vs_serial"] = round(
-                serial_median / cell["median_s"], 3
-            )
+        if cell["min_s"] > 0:
+            cell["speedup_vs_serial"] = round(serial_best / cell["min_s"], 3)
     return {
         "benchmark": BENCHMARK_NAME,
         "config": {
@@ -858,6 +867,15 @@ def run_runner_suite(
         "python": platform.python_version(),
         "results": results,
     }
+
+
+def _spread_pct(times: Sequence[float]) -> float:
+    """Interquartile range over the median, in percent (0 for one run)."""
+    median = statistics.median(times)
+    if len(times) < 2 or median <= 0:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return round(100.0 * (q3 - q1) / median, 2)
 
 
 def _start_server(env: Dict[str, str], results: Path):
@@ -969,20 +987,15 @@ def run_startup_suite(*, repeats: int = 10, seed: int = 0) -> dict:
     results: List[dict] = []
     for label in labels:
         times = walls[label]
-        median = statistics.median(times)
-        spread = 0.0
-        if len(times) > 1 and median > 0:
-            q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
-            spread = round(100.0 * (q3 - q1) / median, 2)
         cell = {
             "suite": "startup",
             "algorithm": f"startup[{label}]",
             "command": labels[label],
             "n_target": 0,
             "n_jobs": instance.num_jobs if label == "submit" else 0,
-            "median_s": median,
+            "median_s": statistics.median(times),
             "min_s": min(times),
-            "spread_pct": spread,
+            "spread_pct": _spread_pct(times),
             "repeats": len(times),
             "valid": label not in failures,
         }

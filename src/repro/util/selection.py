@@ -5,6 +5,10 @@ steps "using the famous median algorithm of Blum et al.".  This module
 implements that algorithm faithfully: worst-case ``O(n)`` selection with the
 group-of-five median-of-medians pivot rule.  A tiny input falls back to
 sorting, exactly as the classic algorithm does.
+
+:func:`repro.core.bounds.pair_bound` reads ``p̃_m`` and ``p̃_{m+1}`` from the
+instance's memoized LPT order instead (one sort, shared by every algorithm
+run on the instance); the tests check it against :func:`nth_largest`.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from repro.analysis.figures import (
     figure5,
     figure6,
 )
+from tests.markers import needs_networkx
 
 
 class TestFigures:
@@ -42,6 +43,7 @@ class TestFigures:
         for marker in ("step4", "step8", "step8cb", "step10"):
             assert marker in out
 
+    @needs_networkx
     def test_figure5_flow(self):
         out = figure5()
         assert "alpha" in out and "omega" in out

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import (
     all_bounds,
@@ -17,7 +18,8 @@ from repro.core.bounds import (
     max_class_bound,
     pair_bound,
 )
-from repro.core.instance import Instance
+from repro.core.instance import Instance, Job
+from repro.util.selection import nth_largest
 from tests.strategies import instances, tiny_instances
 
 
@@ -38,6 +40,26 @@ class TestBasicBounds:
     def test_pair_bound_zero_when_few_jobs(self):
         inst = Instance.from_class_sizes([[5], [3]], 2)
         assert pair_bound(inst) == 0
+
+    @given(
+        m=st.integers(1, 8),
+        jobs=st.lists(
+            # Few distinct sizes, so ties around p̃_m are common.
+            st.tuples(st.integers(1, 4), st.integers(0, 5)), max_size=20
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pair_bound_matches_linear_selection(self, m, jobs):
+        inst = Instance(
+            [Job(i, size, cid) for i, (size, cid) in enumerate(jobs)], m
+        )
+        sizes = inst.sizes()
+        expected = (
+            0
+            if len(sizes) <= m
+            else nth_largest(sizes, m) + nth_largest(sizes, m + 1)
+        )
+        assert pair_bound(inst) == expected
 
     def test_basic_T_is_max(self):
         inst = Instance.from_class_sizes([[5, 3], [4, 4], [6], [2, 2, 2]], 3)

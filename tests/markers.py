@@ -6,7 +6,9 @@ identical behavior, while the MILP-backed solvers
 (``exact`` past the branch-and-bound size cutoff, ``exact_milp``, the
 EPTAS window IP) declare a ``PreconditionError``.  Tests that *require*
 the MILP backend carry ``needs_milp`` and skip on that leg; tests that
-require numpy itself (the PCG64 cross-checks) carry ``needs_numpy``.
+require numpy itself (the PCG64 cross-checks) carry ``needs_numpy``, and
+tests that build the Figure 5 flow network (which raises
+``PreconditionError`` without networkx) carry ``needs_networkx``.
 """
 
 from __future__ import annotations
@@ -20,4 +22,7 @@ needs_numpy = pytest.mark.skipif(
 )
 needs_milp = pytest.mark.skipif(
     milp_modules() is None, reason="scipy.optimize.milp unavailable"
+)
+needs_networkx = pytest.mark.skipif(
+    optional_import("networkx") is None, reason="networkx not installed"
 )

@@ -9,6 +9,9 @@ from repro.ptas.flownet import (
     assign_placeholders_by_flow,
     build_flow_network,
 )
+from tests.markers import needs_networkx
+
+pytestmark = needs_networkx
 
 
 class TestBuild:

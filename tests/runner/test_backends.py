@@ -534,6 +534,56 @@ class TestKeyboardInterrupt:
         assert not part_dir.exists()
 
 
+class TestParseOnce:
+    """``serial`` parses a run of consecutive cells on one instance once."""
+
+    ALGORITHMS = ["three_halves", "merge_lpt", "list_lpt"]
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.core.instance import Instance
+
+        calls = []
+        original = Instance.from_dict
+
+        def counting(data):
+            calls.append(data["name"])
+            return original(data)
+
+        monkeypatch.setattr(Instance, "from_dict", staticmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_product_plan_parses_each_instance_once(
+        self, repo, parses, defer
+    ):
+        plan = WorkPlan.from_product(
+            repo, self.ALGORITHMS, defer_payloads=defer
+        )
+        result = run_plan(plan, None, backend="serial", repository=repo)
+        assert result.errors == 0
+        assert len(result.records) == len(repo) * len(self.ALGORITHMS)
+        assert len(parses) == len(repo)
+
+    def test_interleaved_plan_parses_per_cell_same_stream(
+        self, repo, parses
+    ):
+        grouped = run_plan(
+            WorkPlan.from_product(repo, self.ALGORITHMS), None,
+            backend="serial",
+        )
+        parses.clear()
+        interleaved = WorkPlan()
+        for algorithm in self.ALGORITHMS:
+            for ref in repo:
+                interleaved.add(ref, algorithm)
+        result = run_plan(interleaved, None, backend="serial")
+        assert len(parses) == len(repo) * len(self.ALGORITHMS)
+        assert canonical_stream(result.records) == canonical_stream(
+            grouped.records
+        )
+
+
 class TestBackendAgnosticResume:
     def test_serial_sweep_resumes_on_sharded(self, golden_plan, tmp_path):
         out = tmp_path / "sweep.jsonl"

@@ -364,19 +364,37 @@ def test_eptas_suite_attaches_phase_breakdown():
         assert 0.0 <= cell["ip_solve_pct"] <= 100.0
 
 
-def test_runner_suite_races_serial_against_sharded():
+def test_runner_suite_races_serial_against_sharded(monkeypatch):
+    import repro.runner.engine as engine
+
+    backends = []
+    original = engine.run_plan
+
+    def recording(plan, out, **kwargs):
+        backends.append(kwargs["backend"])
+        return original(plan, out, **kwargs)
+
+    monkeypatch.setattr(engine, "run_plan", recording)
     data = run_runner_suite(
-        shard_counts=(2,), instances=3, size=6, repeats=1
+        shard_counts=(2,), instances=3, size=6, repeats=3
     )
     assert data["config"]["suite"] == "runner"
+    # The configs alternate within each repeat.
+    assert backends == ["serial", "sharded"] * 3
     cells = data["results"]
     assert [c["backend"] for c in cells] == ["serial", "sharded-2"]
     for cell in cells:
         assert cell["valid"], cell.get("error")
         assert cell["cells"] == 3
-        assert cell["cells_per_sec"] > 0
+        assert cell["repeats"] == 3
+        # Throughput is read from the fastest repeat.
+        assert cell["cells_per_sec"] == round(3 / cell["min_s"], 3)
+        assert cell["min_s"] <= cell["median_s"]
+        assert cell["spread_pct"] >= 0
     assert cells[0]["speedup_vs_serial"] == 1.0
-    assert cells[1]["speedup_vs_serial"] > 0
+    assert cells[1]["speedup_vs_serial"] == round(
+        cells[0]["min_s"] / cells[1]["min_s"], 3
+    )
 
 
 def test_cli_bench_suite_startup_times_cold_children(tmp_path, capsys):

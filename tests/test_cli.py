@@ -10,6 +10,7 @@ from repro.algorithms.base import ScheduleResult
 from repro.cli import main
 from repro.core.schedule import Placement, Schedule
 from repro.workloads import generate
+from tests.markers import needs_networkx
 
 
 @pytest.fixture
@@ -436,6 +437,7 @@ class TestGenerate:
 
 
 class TestFiguresAndDemo:
+    @needs_networkx
     def test_figures_to_directory(self, tmp_path, capsys):
         out = tmp_path / "figs"
         assert main(["figures", "--out", str(out)]) == 0
